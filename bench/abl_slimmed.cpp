@@ -32,13 +32,15 @@ int main(int argc, char** argv) {
     const ExperimentPoint local = run_experiment(tree, config);
     const double gap = global_rm.schedulability.mean -
                        local.schedulability.mean;
+    std::string gap_text = gap >= 0 ? "+" : "";
+    gap_text += TextTable::pct(gap);
     table.add_row(
         {"FT(3,4," + std::to_string(w) + ")",
          TextTable::num(4.0 / w, 2) + ":1",
          TextTable::pct(global_ff.schedulability.mean),
          TextTable::pct(global_rm.schedulability.mean),
          TextTable::pct(local.schedulability.mean),
-         (gap >= 0 ? "+" : "") + TextTable::pct(gap)});
+         gap_text});
   }
   table.print(std::cout);
   std::cout

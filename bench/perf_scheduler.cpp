@@ -14,10 +14,6 @@
 //                             auto) for every benchmark in the run; the
 //                             resolved level is printed so CI harnesses can
 //                             tell a genuine AVX2 run from a clamped one.
-//   --levelwise-legacy        run BM_Levelwise with the pre-wavefront
-//                             request-at-a-time sweep under the same
-//                             benchmark names — the baseline side of the
-//                             ftreport --min-ratio speedup floor.
 // The profiled replay is separate from the timed gbench loops, so
 // attribution overhead never pollutes the throughput numbers.
 #include <benchmark/benchmark.h>
@@ -28,11 +24,9 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "core/levelwise_scheduler.hpp"
 #include "core/registry.hpp"
 #include "fig9_common.hpp"
 #include "hw/pipeline.hpp"
@@ -42,13 +36,6 @@
 
 namespace ftsched {
 namespace {
-
-// --levelwise-legacy pins BM_Levelwise to the pre-wavefront one-request-
-// at-a-time sweep (LevelwiseOptions::wavefront = false). The benchmark
-// names stay identical, so a legacy run and a default run feed straight
-// into the ftreport --min-ratio speedup floor: same binary, same host,
-// same workload — the only variable is the wavefront hot path.
-bool g_levelwise_legacy = false;
 
 const FatTree& tree_for(std::uint32_t levels, std::uint32_t w) {
   // Benchmarks reuse topologies; cache them keyed by (levels, w).
@@ -66,15 +53,8 @@ void schedule_benchmark(benchmark::State& state, const char* scheduler_name) {
   const auto levels = static_cast<std::uint32_t>(state.range(0));
   const auto w = static_cast<std::uint32_t>(state.range(1));
   const FatTree& tree = tree_for(levels, w);
-  std::unique_ptr<Scheduler> scheduler;
-  if (g_levelwise_legacy && std::string_view(scheduler_name) == "levelwise") {
-    LevelwiseOptions options;
-    options.seed = 1;
-    options.wavefront = false;
-    scheduler = std::make_unique<LevelwiseScheduler>(options);
-  } else {
-    scheduler = make_scheduler(scheduler_name, 1).value();
-  }
+  const std::unique_ptr<Scheduler> scheduler =
+      make_scheduler(scheduler_name, 1).value();
   Xoshiro256ss rng(42);
   const auto batch = random_permutation(tree.node_count(), rng);
   LinkState link_state(tree);
@@ -179,10 +159,9 @@ void BM_FirstAvailablePort(benchmark::State& state) {
 }
 BENCHMARK(BM_FirstAvailablePort);
 
-// Per-dispatch-level grid points for the wavefront kernels themselves: the
-// same AND + first-set-select volume a levelwise batch sweep issues (4096
-// single-word rows, half-occupied), once per dispatch level, so a report can
-// show the kernel-level speedup next to the end-to-end one. Levels the host
+// Per-dispatch-level grid points for the simd kernels themselves: the same
+// AND + first-set-select volume a levelwise batch sweep issues (4096
+// single-word rows, half-occupied), once per dispatch level. Levels the host
 // CPU lacks are skipped, not silently clamped.
 void BM_SimdAndSelect(benchmark::State& state) {
   const auto want = static_cast<simd::Level>(state.range(0));
@@ -366,8 +345,6 @@ int main(int argc, char** argv) {
       request = ftsched::obs::PerfCounters::Request::kTimer;
     } else if (arg == "--profile-backend=auto") {
       request = ftsched::obs::PerfCounters::Request::kAuto;
-    } else if (arg == "--levelwise-legacy") {
-      ftsched::g_levelwise_legacy = true;
     } else if (arg.rfind("--simd=", 0) == 0) {
       const std::string level = arg.substr(7);
       if (level == "auto") {
@@ -398,9 +375,6 @@ int main(int argc, char** argv) {
   // Resolved (possibly clamped) level, printed for CI skip detection.
   std::cout << "simd: " << ftsched::simd::to_string(ftsched::simd::active())
             << "\n";
-  if (ftsched::g_levelwise_legacy) {
-    std::cout << "levelwise: legacy (wavefront disabled)\n";
-  }
   int args_count = static_cast<int>(args.size());
   benchmark::Initialize(&args_count, args.data());
   if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {

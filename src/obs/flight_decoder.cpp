@@ -1,37 +1,51 @@
 #include "obs/flight_decoder.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <istream>
+#include <limits>
 #include <string>
 
 namespace ftsched::obs {
 
 namespace {
 
+/// Outcome of reading one integer field, ordered so that the worst of
+/// several reads is their std::max.
+enum class Field : std::uint8_t { kOk, kOutOfRange, kMissing };
+
 /// Finds `"key":` in a flat one-line JSON object and parses the unsigned
-/// integer that follows. The dump writer emits exactly this shape (no
-/// spaces, no nesting), so plain string scanning is both sufficient and
-/// byte-for-byte deterministic.
-bool find_u64(const std::string& line, std::string_view key,
-              std::uint64_t& out) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+/// integer that follows into `out`, refusing any value `out` cannot hold
+/// (a value past 2^64 - 1 is refused before it can wrap). The dump writer
+/// emits exactly this shape (no spaces, no nesting), so plain string
+/// scanning is both sufficient and byte-for-byte deterministic.
+template <typename T>
+Field find_uint(const std::string& line, std::string_view key, T& out) {
+  const std::string needle = std::string("\"").append(key).append("\":");
   const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
+  if (at == std::string::npos) return Field::kMissing;
   std::size_t i = at + needle.size();
-  if (i >= line.size() || line[i] < '0' || line[i] > '9') return false;
+  if (i >= line.size() || line[i] < '0' || line[i] > '9') {
+    return Field::kMissing;
+  }
+  constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
   std::uint64_t value = 0;
   while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
-    value = value * 10 + static_cast<std::uint64_t>(line[i] - '0');
+    const auto digit = static_cast<std::uint64_t>(line[i] - '0');
+    if (value > kMax / 10 || digit > kMax - value * 10) {
+      return Field::kOutOfRange;
+    }
+    value = value * 10 + digit;
     ++i;
   }
-  out = value;
-  return true;
+  out = static_cast<T>(value);
+  return Field::kOk;
 }
 
 /// Same, for a quoted string value.
 bool find_string(const std::string& line, std::string_view key,
                  std::string& out) {
-  const std::string needle = "\"" + std::string(key) + "\":\"";
+  const std::string needle = std::string("\"").append(key).append("\":\"");
   const std::size_t at = line.find(needle);
   if (at == std::string::npos) return false;
   const std::size_t begin = at + needle.size();
@@ -61,47 +75,49 @@ Result<FlightDump> read_flight_jsonl(std::istream& is) {
         return Result<FlightDump>::error(
             "flight dump: first line is not a flight_recorder header");
       }
-      std::uint64_t version = 0;
-      if (!find_u64(line, "version", version) || version != 1) {
+      if (find_uint(line, "version", dump.version) != Field::kOk ||
+          dump.version != 1) {
         return Result<FlightDump>::error(
             "flight dump: unsupported format version");
       }
-      dump.version = static_cast<std::uint32_t>(version);
-      std::uint64_t rings = 0;
-      if (!find_u64(line, "rings", rings) ||
-          !find_u64(line, "capacity", dump.capacity) ||
-          !find_u64(line, "recorded", dump.recorded) ||
-          !find_u64(line, "dropped", dump.dropped)) {
+      const Field header =
+          std::max({find_uint(line, "rings", dump.rings),
+                    find_uint(line, "capacity", dump.capacity),
+                    find_uint(line, "recorded", dump.recorded),
+                    find_uint(line, "dropped", dump.dropped)});
+      if (header == Field::kMissing) {
         return Result<FlightDump>::error(
             "flight dump: header is missing rings/capacity/recorded/dropped");
       }
-      dump.rings = static_cast<std::uint32_t>(rings);
+      if (header == Field::kOutOfRange) {
+        return Result<FlightDump>::error(
+            "flight dump: header field out of range");
+      }
       have_header = true;
       continue;
     }
     FlightRecord record;
-    std::uint64_t ring = 0;
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
-    std::uint64_t c = 0;
     std::string kind;
-    if (!find_u64(line, "ring", ring) ||
-        !find_u64(line, "req", record.event.req) ||
-        !find_u64(line, "t", record.event.t) ||
-        !find_string(line, "kind", kind) || !find_u64(line, "a", a) ||
-        !find_u64(line, "b", b) || !find_u64(line, "c", c)) {
+    const Field fields = std::max({find_uint(line, "ring", record.ring),
+                                   find_uint(line, "req", record.event.req),
+                                   find_uint(line, "t", record.event.t),
+                                   find_uint(line, "a", record.event.a),
+                                   find_uint(line, "b", record.event.b),
+                                   find_uint(line, "c", record.event.c)});
+    if (fields == Field::kMissing || !find_string(line, "kind", kind)) {
       return Result<FlightDump>::error("flight dump: malformed event at line " +
                                        std::to_string(line_no));
+    }
+    if (fields == Field::kOutOfRange) {
+      return Result<FlightDump>::error(
+          "flight dump: field out of range at line " +
+          std::to_string(line_no));
     }
     if (!flight_kind_from_string(kind, record.event.kind)) {
       return Result<FlightDump>::error("flight dump: unknown event kind '" +
                                        kind + "' at line " +
                                        std::to_string(line_no));
     }
-    record.ring = static_cast<std::uint32_t>(ring);
-    record.event.a = static_cast<std::uint8_t>(a);
-    record.event.b = static_cast<std::uint16_t>(b);
-    record.event.c = static_cast<std::uint32_t>(c);
     dump.records.push_back(record);
   }
   if (!have_header) {

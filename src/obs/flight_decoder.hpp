@@ -43,8 +43,9 @@ struct FlightDump {
 };
 
 /// Parses a format-v1 dump. Fails (never aborts) on a missing/foreign
-/// header, an unsupported version, an unknown event kind, or a malformed
-/// line — dumps are post-mortem artifacts and may be truncated.
+/// header, an unsupported version, an unknown event kind, a malformed
+/// line, or an integer too large for its field — dumps are post-mortem
+/// artifacts and may be truncated or corrupt.
 Result<FlightDump> read_flight_jsonl(std::istream& is);
 
 /// Every event of one tracked request, in emission order.

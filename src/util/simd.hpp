@@ -1,18 +1,20 @@
-// simd — the dispatch shim for the wavefront scheduler's vector kernels.
+// simd — the dispatch shim for the repo's row-wise vector kernels.
 //
-// The level-wise scheduler's inner operation is AND-two-w-bit-rows +
-// find-first-set, repeated once per in-flight request per level. Transposed
-// into a wavefront (all live requests' candidate rows gathered into one
-// contiguous row-major matrix), that loop becomes three data-parallel
-// primitives, and THIS header is the only place in the tree allowed to know
-// how they are vectorized:
+// Three data-parallel primitives over flat, row-major uint64 word buffers,
+// and THIS header is the only place in the tree allowed to know how they
+// are vectorized:
 //
 //   and_rows          — elementwise AND over a flat word buffer
+//                       (BitVec::and_into runs on it)
 //   first_set_select  — per-row find-first-set (optionally from a per-row
 //                       round-robin hint, wrapping), -1 when the row is zero
 //   popcount_rows     — per-row popcount (rows are trimmed: spare high bits
 //                       of the last word are zero, so the count is masked by
 //                       construction)
+//
+// No scheduler calls these: the level-wise sweep ANDs and scans one
+// request's rows at a time through LinkState, which measured faster than
+// gathering rows into a batch for the kernels (docs/PERFORMANCE.md §4).
 //
 // Dispatch is RUNTIME, not compile-time: every kernel exists at three levels
 // (scalar / AVX2 / AVX-512), the binary carries all of them, and a process-

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "core/verifier.hpp"
+#include "obs/profiler.hpp"
+#include "obs/sched_probe.hpp"
 #include "workload/patterns.hpp"
 
 namespace ftsched {
@@ -253,6 +262,210 @@ TEST(Levelwise, EmptyBatch) {
   const ScheduleResult result = scheduler.schedule(tree, {}, state);
   EXPECT_TRUE(result.outcomes.empty());
   EXPECT_EQ(result.schedulability_ratio(), 1.0);
+}
+
+// (policy, release_rejected); release off is the hardware-fidelity "hold".
+class LevelwisePolicies
+    : public ::testing::TestWithParam<std::tuple<PortPolicy, bool>> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, LevelwisePolicies,
+    ::testing::Combine(
+        ::testing::Values(PortPolicy::kFirstFit, PortPolicy::kRoundRobin,
+                          PortPolicy::kRandom, PortPolicy::kBalanced,
+                          PortPolicy::kBalancedRR, PortPolicy::kBalancedRandom),
+        ::testing::Bool()),
+    [](const auto& param_info) {
+      std::string name(to_string(std::get<0>(param_info.param)));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return std::get<1>(param_info.param) ? name : name + "_hold";
+    });
+
+TEST_P(LevelwisePolicies, TwoRoundsVerifyAndProbeDoesNotPerturb) {
+  const auto [policy, release_rejected] = GetParam();
+  // Round 1 lands in an empty fabric; round 2 schedules a fresh permutation
+  // into the leftover occupancy, forcing rejects and rollback replay. A
+  // probed twin runs the same batches: attaching the probe switches
+  // pick_port to its recording instantiation, which must pick identically.
+  for (const auto& [levels, w] : {std::pair{2u, 8u}, {3u, 4u}, {2u, 16u}}) {
+    const FatTree tree = FatTree::symmetric(levels, w);
+    LevelwiseOptions options;
+    options.policy = policy;
+    options.release_rejected = release_rejected;
+    options.seed = 5;
+    LevelwiseScheduler plain(options);
+    LevelwiseScheduler probed(options);
+    obs::SchedulerProbe probe;
+    probed.set_probe(&probe);
+
+    LinkState plain_state(tree);
+    LinkState probed_state(tree);
+    Xoshiro256ss workload_rng(13);
+    for (int batch_round = 0; batch_round < 2; ++batch_round) {
+      const auto batch = random_permutation(tree.node_count(), workload_rng);
+      const ScheduleResult result = plain.schedule(tree, batch, plain_state);
+      EXPECT_TRUE(result.outcomes ==
+                  probed.schedule(tree, batch, probed_state).outcomes)
+          << "FT(" << levels << "," << w << ") round " << batch_round;
+      EXPECT_TRUE(plain_state == probed_state)
+          << "FT(" << levels << "," << w << ") round " << batch_round;
+      VerifyOptions verify_options;
+      verify_options.allow_residual_occupancy = !release_rejected;
+      // The occupancy-equality check assumes an empty pre-batch state, so
+      // only the first round verifies against the link state; the second
+      // still gets the path-legality and mirror checks.
+      EXPECT_TRUE(verify_schedule(tree, batch, result,
+                                  batch_round == 0 ? &plain_state : nullptr,
+                                  verify_options)
+                      .ok())
+          << "FT(" << levels << "," << w << ") round " << batch_round;
+    }
+    EXPECT_EQ(probe.grants() + probe.rejects(),
+              2 * static_cast<std::uint64_t>(tree.node_count()));
+  }
+}
+
+TEST(Levelwise, ProfiledRunReconcilesAndStaysBitIdentical) {
+  // Attaching a ProfileSession must neither perturb the schedule nor break
+  // the attribution invariant (total == Σ slots.self + unattributed).
+  const FatTree tree = FatTree::symmetric(3, 4);
+  Xoshiro256ss rng(21);
+  const auto batch = random_permutation(tree.node_count(), rng);
+
+  LevelwiseScheduler detached;
+  LinkState detached_state(tree);
+  const ScheduleResult baseline =
+      detached.schedule(tree, batch, detached_state);
+
+  obs::ProfileSession session(obs::PerfCounters::Request::kTimer);
+  session.open();
+  LevelwiseScheduler profiled;
+  profiled.set_profiler(&session);
+  LinkState profiled_state(tree);
+  session.begin_batch();
+  const ScheduleResult attached =
+      profiled.schedule(tree, batch, profiled_state);
+  session.end_batch(attached.outcomes.size());
+
+  EXPECT_TRUE(baseline.outcomes == attached.outcomes);
+  EXPECT_TRUE(detached_state == profiled_state);
+
+  obs::PerfSample attributed;
+  bool saw_pick = false;
+  for (std::size_t p = 0; p < obs::kProfilePhaseCount; ++p) {
+    const auto phase = static_cast<obs::ProfilePhase>(p);
+    for (const obs::ProfileSlot& slot : session.slots(phase)) {
+      attributed += slot.self;
+      if (slot.entries > 0 && phase == obs::ProfilePhase::kPortPick) {
+        saw_pick = true;
+      }
+    }
+  }
+  EXPECT_EQ(session.total(), attributed + session.unattributed());
+  EXPECT_TRUE(saw_pick);
+}
+
+/// FNV-1a over each request's (granted ? digit count : ~0, digits...), in
+/// request order: a compact literal that pins every granted port digit and
+/// which requests were rejected.
+std::uint64_t port_digest(const ScheduleResult& result) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  const auto mix = [&hash](std::uint64_t value) {
+    hash = (hash ^ value) * 0x100000001b3ull;
+  };
+  for (const RequestOutcome& out : result.outcomes) {
+    mix(out.granted ? out.path.ports.size() : ~0ull);
+    for (const std::uint32_t port : out.path.ports) mix(port);
+  }
+  return hash;
+}
+
+TEST(Levelwise, BalancedPoliciesPinnedAtWordEdges) {
+  // Widths 63/64/65 straddle the one-word/two-word row boundary, where a
+  // row scan would mishandle the spare high bits. With cables pre-failed,
+  // the rows also carry fault-forced busy bits, so the weighted argmax runs
+  // over exactly the residual fabric. Damage sits on column 0 plus the top
+  // ports of both word halves: the balanced weights differ per column, so a
+  // pick that read a stale or misplaced counter diverges immediately.
+  struct Pinned {
+    std::uint32_t w;
+    PortPolicy policy;
+    std::size_t grants;
+    std::uint64_t digest;
+  };
+  // GENERATED from the seed-13 permutation below; regenerate by printing
+  // the grant count and port_digest() only if the workload generator
+  // changes.
+  const Pinned expected[] = {
+      {63, PortPolicy::kBalanced, 3881, 0xdaf44fbc348cc308ull},
+      {63, PortPolicy::kBalancedRR, 3880, 0xbe677d7304736ed0ull},
+      {63, PortPolicy::kBalancedRandom, 3870, 0x77a57eeefaa861c0ull},
+      {64, PortPolicy::kBalanced, 3992, 0x8ba825815e089e7eull},
+      {64, PortPolicy::kBalancedRR, 4004, 0x6c20dfde09376e5cull},
+      {64, PortPolicy::kBalancedRandom, 4006, 0xd9f62d3c8c17eb7dull},
+      {65, PortPolicy::kBalanced, 4128, 0x8591e2196b568c1cull},
+      {65, PortPolicy::kBalancedRR, 4131, 0x58a508947ed17adfull},
+      {65, PortPolicy::kBalancedRandom, 4118, 0x4fe9e2f4f81b5568ull},
+  };
+  for (const Pinned& pin : expected) {
+    const FatTree tree = FatTree::symmetric(2, pin.w);
+    LevelwiseOptions options;
+    options.policy = pin.policy;
+    options.seed = 5;
+    LevelwiseScheduler scheduler(options);
+    LinkState state(tree);
+    for (std::uint64_t sw = 0; sw < 5; ++sw) {
+      state.fail_cable(0, sw, 0);
+    }
+    state.fail_cable(0, 6, pin.w - 1);
+    state.fail_cable(0, 7, pin.w / 2);
+    Xoshiro256ss rng(13);
+    const auto batch = random_permutation(tree.node_count(), rng);
+    const ScheduleResult result = scheduler.schedule(tree, batch, state);
+    std::size_t grants = 0;
+    for (const RequestOutcome& out : result.outcomes) grants += out.granted;
+    EXPECT_EQ(grants, pin.grants)
+        << "w=" << pin.w << " " << to_string(pin.policy);
+    EXPECT_EQ(port_digest(result), pin.digest)
+        << "w=" << pin.w << " " << to_string(pin.policy);
+  }
+}
+
+TEST(RoundRobinPin, PickSequencesPinnedAndSharedAcrossPaths) {
+  // The rr_hint_ update rule — advance to (port + 1) mod w after a
+  // successful pick, leave untouched on failure — is one rule shared by
+  // every pick_port instantiation. This pins the granted port digits of a
+  // full FT(2,4) permutation under levelwise-rr, detached and with a probe
+  // attached, against a committed literal.
+  const FatTree tree = FatTree::symmetric(2, 4);
+  Xoshiro256ss rng(9);
+  const auto batch = random_permutation(tree.node_count(), rng);
+
+  std::vector<std::vector<DigitVec>> sequences;
+  for (bool attach_probe : {false, true}) {
+    LevelwiseOptions options;
+    options.policy = PortPolicy::kRoundRobin;
+    LevelwiseScheduler scheduler(options);
+    obs::SchedulerProbe probe;
+    if (attach_probe) scheduler.set_probe(&probe);
+    LinkState state(tree);
+    const ScheduleResult result = scheduler.schedule(tree, batch, state);
+    std::vector<DigitVec>& ports = sequences.emplace_back();
+    for (const RequestOutcome& out : result.outcomes) {
+      ports.push_back(out.granted ? out.path.ports : DigitVec{});
+    }
+  }
+  EXPECT_EQ(sequences[0], sequences[1]);
+
+  const std::vector<DigitVec> expected = {
+      // GENERATED: FT(2,4), levelwise-rr, seed-9 permutation ({} = request
+      // rejected — the rejects are pinned too, a failed pick must not move
+      // the hint). Regenerate by printing `sequences[0]` if the workload
+      // generator ever changes.
+      {0}, {}, {1}, {2}, {2}, {3}, {0}, {1},
+      {0}, {1}, {3}, {}, {0}, {2}, {3}, {},
+  };
+  EXPECT_EQ(sequences[0], expected);
 }
 
 }  // namespace

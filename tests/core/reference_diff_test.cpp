@@ -183,7 +183,10 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, ReferenceDiffTest,
     testing::Values(Shape{2, 4, 4}, Shape{2, 8, 8}, Shape{3, 4, 4},
                     Shape{3, 6, 6}, Shape{4, 3, 3}, Shape{3, 4, 2},
-                    Shape{3, 2, 4}),
+                    Shape{3, 2, 4},
+                    // Multi-word rows: w = 65 spills one port into a second
+                    // word; w = 96 is the wide-batch benchmark's width.
+                    Shape{2, 65, 65}, Shape{2, 96, 96}),
     [](const testing::TestParamInfo<Shape>& param_info) {
       return "FT_l" + std::to_string(param_info.param.levels) + "_m" +
              std::to_string(param_info.param.m) + "_w" +

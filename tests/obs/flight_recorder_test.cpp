@@ -186,6 +186,52 @@ TEST(FlightDump, DecoderRejectsMalformedInput) {
                   .ok());
 }
 
+TEST(FlightDump, DecoderRejectsOutOfRangeIntegers) {
+  // Every integer must fit its field: no wrap past 2^64 - 1, no silent
+  // narrowing into the 8/16/32-bit payload slots or the 32-bit ring index.
+  const auto parse = [](std::string text) {
+    std::istringstream is(std::move(text));
+    return read_flight_jsonl(is);
+  };
+  const std::string header =
+      "{\"type\":\"flight_recorder\",\"version\":1,\"rings\":1,"
+      "\"capacity\":4,\"recorded\":1,\"dropped\":0}\n";
+  const auto event = [&](std::string ring, std::string req, std::string a,
+                         std::string b, std::string c) {
+    return parse(header + "{\"ring\":" + ring + ",\"req\":" + req +
+                 ",\"t\":0,\"kind\":\"CLOSED\",\"a\":" + a + ",\"b\":" + b +
+                 ",\"c\":" + c + "}\n");
+  };
+  // The largest value of each field still parses.
+  const auto max = event("4294967295", "18446744073709551615", "255",
+                         "65535", "4294967295");
+  ASSERT_TRUE(max.ok()) << max.message();
+  EXPECT_EQ(max.value().records[0].ring, 4294967295u);
+  EXPECT_EQ(max.value().records[0].event.req, 18446744073709551615ull);
+  EXPECT_EQ(max.value().records[0].event.a, 255u);
+  EXPECT_EQ(max.value().records[0].event.b, 65535u);
+  EXPECT_EQ(max.value().records[0].event.c, 4294967295u);
+
+  EXPECT_FALSE(event("0", "99999999999999999999", "0", "0", "0").ok());
+  EXPECT_FALSE(event("0", "18446744073709551616", "0", "0", "0").ok());
+  EXPECT_FALSE(event("0", "1", "256", "0", "0").ok());
+  EXPECT_FALSE(event("0", "1", "0", "65536", "0").ok());
+  EXPECT_FALSE(event("0", "1", "0", "0", "4294967296").ok());
+  EXPECT_FALSE(event("4294967296", "1", "0", "0", "0").ok());
+  const auto wrapped = event("0", "1", "0", "0", "4294967296");
+  EXPECT_NE(wrapped.message().find("out of range"), std::string::npos)
+      << wrapped.message();
+
+  EXPECT_FALSE(parse("{\"type\":\"flight_recorder\",\"version\":1,"
+                     "\"rings\":4294967296,\"capacity\":4,\"recorded\":1,"
+                     "\"dropped\":0}\n")
+                   .ok());
+  EXPECT_FALSE(parse("{\"type\":\"flight_recorder\",\"version\":1,"
+                     "\"rings\":1,\"capacity\":99999999999999999999,"
+                     "\"recorded\":1,\"dropped\":0}\n")
+                   .ok());
+}
+
 TEST(FlightStitch, SortsByRequestAndKeepsPerRequestOrder) {
   // Two circuits whose events interleave across two rings; stitching must
   // group by ascending request id while preserving each request's order.

@@ -129,8 +129,8 @@ TEST(Simd, FirstSetSelectPinnedEdgeRows) {
 
 TEST(Simd, FirstSetSelectHintPinnedSemantics) {
   // One-word rows; the hint rule is LinkState::next_available_port(hint)
-  // with a first_available_port wrap — the wavefront commit loop depends on
-  // these four cases exactly.
+  // with a first_available_port wrap, the same rule the round-robin port
+  // policy applies — these four cases pin it exactly.
   const std::uint64_t rows[] = {
       0b10010ull,  // hint 2 -> bits 1 skipped, next set at/after 2 is 4
       0b10010ull,  // hint 4 -> exactly at a set bit: picks 4

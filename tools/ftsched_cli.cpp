@@ -271,7 +271,7 @@ int cmd_info(int argc, char** argv) {
       if (i) radices += "x";
       radices += std::to_string(sys.radix(sys.digit_count() - 1 - i));
     }
-    if (radices.empty()) radices = "-";
+    if (radices.empty()) radices.push_back('-');
     table.add_row({std::to_string(h), std::to_string(tree.switches_at(h)),
                    h + 1 < tree.levels() ? std::to_string(tree.cables_at(h))
                                          : "-",
