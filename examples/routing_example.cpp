@@ -77,13 +77,13 @@ void figure8() {
   std::uint64_t delta = dst_leaf;
   DigitVec ports;
   for (std::uint32_t h = 0; h < ancestor; ++h) {
-    const auto port = state.first_available_port(h, sigma, delta);
+    const std::uint32_t port = state.first_available_port(h, sigma, delta);
     std::cout << "  level " << h << ": sigma=" << sigma << " delta=" << delta
-              << " -> P" << h << " = " << *port << "\n";
-    state.occupy(h, sigma, delta, *port);
-    ports.push_back(*port);
-    sigma = tree.ascend(h, sigma, *port);
-    delta = tree.ascend(h, delta, *port);
+              << " -> P" << h << " = " << port << "\n";
+    state.occupy(h, sigma, delta, port);
+    ports.push_back(port);
+    sigma = tree.ascend(h, sigma, port);
+    delta = tree.ascend(h, delta, port);
   }
   const Path path{3, 95, ancestor, ports};
   std::cout << "  complete circuit: " << to_string(path) << "\n";

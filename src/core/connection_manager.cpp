@@ -27,7 +27,7 @@ std::optional<ConnectionId> ConnectionManager::open(const Request& request) {
   std::uint64_t sigma = src_leaf;
   std::uint64_t delta = dst_leaf;
   for (std::uint32_t h = 0; h < H; ++h) {
-    std::optional<std::uint32_t> port;
+    std::uint32_t port = LinkState::kNoPort;
     switch (policy_) {
       case PortPolicy::kFirstFit:
       case PortPolicy::kRoundRobin:  // no persistent pointer in dynamic mode
@@ -55,14 +55,14 @@ std::optional<ConnectionId> ConnectionManager::open(const Request& request) {
         break;
       }
     }
-    if (!port) {
+    if (port == LinkState::kNoPort) {
       leaves_.release(request.src, request.dst);
       return std::nullopt;  // tx rolls back the partial allocation
     }
-    tx.occupy(h, sigma, delta, *port);
-    path.ports.push_back(*port);
-    sigma = tree_.ascend(h, sigma, *port);
-    delta = tree_.ascend(h, delta, *port);
+    tx.occupy(h, sigma, delta, port);
+    path.ports.push_back(port);
+    sigma = tree_.ascend(h, sigma, port);
+    delta = tree_.ascend(h, delta, port);
   }
   FT_ASSERT(sigma == delta);
   tx.commit();

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 #include "topology/fat_tree.hpp"
@@ -48,9 +49,10 @@ inline std::uint32_t meet_level(std::uint64_t leaf_a, std::uint64_t leaf_b,
 
 /// Division by the loop-invariant child arity m, strength-reduced once per
 /// batch. The label shift divides the source/destination remainders by m
-/// twice per request per level; the compiler cannot strength-reduce a
-/// runtime divisor, so on power-of-two grids (every symmetric w = 8/16/64
-/// configuration) each `div r64` here becomes a shift.
+/// twice per request per level, and admission divides each PE id by m for
+/// its leaf switch; the compiler cannot strength-reduce a runtime divisor,
+/// so on power-of-two grids (every symmetric w = 8/16/64 configuration) each
+/// `div r64` here becomes a shift.
 class ChildDivider {
  public:
   explicit ChildDivider(std::uint64_t m)
@@ -60,6 +62,12 @@ class ChildDivider {
                    : 0),
         pow2_((m & (m - 1)) == 0) {
     FT_REQUIRE(m >= 1);
+    if (shift_ != 0) {
+      for (std::uint32_t width = 0; width < meet_by_width_.size(); ++width) {
+        meet_by_width_[width] =
+            static_cast<std::uint8_t>((width + shift_ - 1) / shift_);
+      }
+    }
   }
 
   std::uint64_t divisor() const { return m_; }
@@ -69,16 +77,13 @@ class ChildDivider {
     return pow2_ ? x >> shift_ : x / m_;
   }
 
-  /// meet_level with the same strength reduction: for power-of-two m the
-  /// truncation count is how many shift_-wide digit groups the XOR of the
-  /// labels spans — no loop, no divides.
+  /// meet_level with the same strength reduction: for power-of-two m > 1
+  /// the truncation count is how many shift_-wide digit groups the XOR of
+  /// the labels spans, ⌈bit_width / shift_⌉ — read from a table filled at
+  /// construction, so no loop and no divide.
   std::uint32_t meet(std::uint64_t leaf_a, std::uint64_t leaf_b) const {
-    if (pow2_ && shift_ != 0) {
-      const std::uint64_t diff = leaf_a ^ leaf_b;
-      if (diff == 0) return 0;
-      const auto width =
-          static_cast<std::uint32_t>(64 - __builtin_clzll(diff));
-      return (width + shift_ - 1) / shift_;
+    if (shift_ != 0) {
+      return meet_by_width_[std::bit_width(leaf_a ^ leaf_b)];
     }
     return meet_level(leaf_a, leaf_b, m_);
   }
@@ -87,6 +92,8 @@ class ChildDivider {
   std::uint64_t m_;
   std::uint32_t shift_;
   bool pow2_;
+  /// ⌈width / shift_⌉ for every XOR bit width 0…64 (pow2 m > 1 only).
+  std::array<std::uint8_t, 65> meet_by_width_{};
 };
 
 }  // namespace ftsched

@@ -44,7 +44,7 @@ LevelwiseScheduler::LevelwiseScheduler(LevelwiseOptions options)
   }
 }
 
-std::optional<std::uint32_t> LevelwiseScheduler::pick_port(
+std::uint32_t LevelwiseScheduler::pick_port(
     const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
     std::uint64_t dst_sw, std::vector<std::uint32_t>& rr_hint) {
   if (profiler_) [[unlikely]] {
@@ -60,7 +60,7 @@ std::optional<std::uint32_t> LevelwiseScheduler::pick_port(
 }
 
 template <bool kProbed, bool kProfiled>
-std::optional<std::uint32_t> LevelwiseScheduler::pick_port_impl(
+std::uint32_t LevelwiseScheduler::pick_port_impl(
     const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
     std::uint64_t dst_sw, std::vector<std::uint32_t>& rr_hint) {
   obs::ProfileSession* const prof = kProfiled ? profiler_ : nullptr;
@@ -70,9 +70,9 @@ std::optional<std::uint32_t> LevelwiseScheduler::pick_port_impl(
         level, state.available_port_count(level, src_sw, dst_sw));
   }
   obs::ProfileRegion pick_region(prof, obs::ProfilePhase::kPortPick, level);
-  const auto picked = [&](std::optional<std::uint32_t> port) {
+  const auto picked = [&](std::uint32_t port) {
     if constexpr (kProbed) {
-      if (port) probe_->on_port_pick(level, *port);
+      if (port != LinkState::kNoPort) probe_->on_port_pick(level, port);
     }
     return port;
   };
@@ -82,7 +82,7 @@ std::optional<std::uint32_t> LevelwiseScheduler::pick_port_impl(
     case PortPolicy::kRandom: {
       const std::uint32_t count =
           state.available_port_count(level, src_sw, dst_sw);
-      if (count == 0) return std::nullopt;
+      if (count == 0) return LinkState::kNoPort;
       return picked(state.nth_available_port(
           level, src_sw, dst_sw,
           static_cast<std::uint32_t>(rng_.below(count))));
@@ -90,14 +90,15 @@ std::optional<std::uint32_t> LevelwiseScheduler::pick_port_impl(
     case PortPolicy::kRoundRobin: {
       const std::uint32_t w = state.ports_per_switch();
       std::uint32_t& hint = rr_hint[src_sw];
-      auto port = state.next_available_port(level, src_sw, dst_sw, hint);
-      if (!port) {  // wrap around
+      std::uint32_t port =
+          state.next_available_port(level, src_sw, dst_sw, hint);
+      if (port == LinkState::kNoPort) {  // wrap around
         port = state.first_available_port(level, src_sw, dst_sw);
       }
       // The round-robin hint rule: after a successful pick the row's hint
       // becomes (port + 1) mod w; a failed pick leaves it untouched. The
       // rr-pick-sequence regression test pins the resulting port digits.
-      if (port) hint = (*port + 1) % w;
+      if (port != LinkState::kNoPort) hint = (port + 1) % w;
       return picked(port);
     }
     case PortPolicy::kBalanced:
@@ -108,14 +109,15 @@ std::optional<std::uint32_t> LevelwiseScheduler::pick_port_impl(
       // Same hint rule as round-robin, applied WITHIN the max-weight tie
       // set (balanced_port_from wraps to the lowest max-weight port when no
       // candidate sits at or after the hint).
-      const auto port = state.balanced_port_from(level, src_sw, dst_sw, hint);
-      if (port) hint = (*port + 1) % w;
+      const std::uint32_t port =
+          state.balanced_port_from(level, src_sw, dst_sw, hint);
+      if (port != LinkState::kNoPort) hint = (port + 1) % w;
       return picked(port);
     }
     case PortPolicy::kBalancedRandom: {
       const std::uint32_t count =
           state.balanced_port_count(level, src_sw, dst_sw);
-      if (count == 0) return std::nullopt;
+      if (count == 0) return LinkState::kNoPort;
       return picked(state.nth_balanced_port(
           level, src_sw, dst_sw,
           static_cast<std::uint32_t>(rng_.below(count))));
@@ -178,13 +180,18 @@ ScheduleResult LevelwiseScheduler::schedule_level_major_impl(
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const Request& r = requests[i];
       RequestOutcome& out = result.outcomes[i];
-      out.path = Path{r.src, r.dst, 0, {}};
-      if (!leaves.try_claim(r.src, r.dst)) {
+      // The outcome is already value-initialized; set just the two fields a
+      // fresh Path{src, dst, 0, {}} would change (assigning that temporary
+      // zeroes and copies its whole port-digit buffer per request).
+      out.path.src = r.src;
+      out.path.dst = r.dst;
+      if (!leaves.try_claim(r.src, r.dst)) {  // bounds-checks both PE ids
         out.reason = RejectReason::kLeafBusy;
         continue;
       }
-      const std::uint64_t src_leaf = tree.leaf_switch(r.src).index;
-      const std::uint64_t dst_leaf = tree.leaf_switch(r.dst).index;
+      // Leaf switch = PE id / m (FatTree::leaf_switch), strength-reduced.
+      const std::uint64_t src_leaf = divm(r.src);
+      const std::uint64_t dst_leaf = divm(r.dst);
       const std::uint32_t H = divm.meet(src_leaf, dst_leaf);
       if (H == 0) {
         out.granted = true;  // circuit lives inside one leaf crossbar
@@ -219,8 +226,9 @@ ScheduleResult LevelwiseScheduler::schedule_level_major_impl(
     for (std::size_t j = 0; j < live_.size(); ++j) {
       const std::size_t i = live_[j];
       RequestOutcome& out = result.outcomes[i];
-      const auto port = pick_port(state, h, sigma_[i], delta_[i], rr_hint_);
-      if (!port) {
+      const std::uint32_t port =
+          pick_port(state, h, sigma_[i], delta_[i], rr_hint_);
+      if (port == LinkState::kNoPort) {
         out.reason = RejectReason::kNoCommonPort;
         out.fail_level = h;
         continue;  // dropped from the live list
@@ -232,14 +240,14 @@ ScheduleResult LevelwiseScheduler::schedule_level_major_impl(
         // reconstructed in the cleanup sweep by replaying the digit shift
         // from the leaves, so the hot path records nothing beyond the path
         // it already builds.
-        state.occupy_ulink(h, sigma_[i], *port);
-        state.occupy_dlink(h, delta_[i], *port);
-        out.path.ports.push_back(*port);
+        state.occupy_ulink(h, sigma_[i], port);
+        state.occupy_dlink(h, delta_[i], port);
+        out.path.ports.push_back(port);
       }
       obs::ProfileRegion label_region(prof, obs::ProfilePhase::kLabel, h);
       // Theorem-1 digit shift, incrementally: new port digit in front, one
       // source digit consumed on each side.
-      pval_[i] = *port + w * pval_[i];
+      pval_[i] = port + w * pval_[i];
       src_rest_[i] = divm(src_rest_[i]);
       dst_rest_[i] = divm(dst_rest_[i]);
       if (out.path.ports.size() == ancestor_[i]) {
@@ -277,8 +285,8 @@ ScheduleResult LevelwiseScheduler::schedule_level_major_impl(
         obs::ProfileRegion rollback_region(prof, obs::ProfilePhase::kRollback);
         if (probe_) probe_->on_rollback(2 * out.path.ports.size());
         if (!out.path.ports.empty()) {
-          std::uint64_t sigma = tree.leaf_switch(requests[i].src).index;
-          std::uint64_t delta = tree.leaf_switch(requests[i].dst).index;
+          std::uint64_t sigma = divm(requests[i].src);
+          std::uint64_t delta = divm(requests[i].dst);
           std::uint64_t pval = 0;
           std::uint64_t src_rest = sigma;
           std::uint64_t dst_rest = delta;
@@ -310,7 +318,7 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
   if (probe_) probe_->on_batch_begin(requests.size());
   obs::ScopedSpan batch_span(tracer_, name_, "sched.batch");
   ScheduleResult result;
-  result.outcomes.reserve(requests.size());
+  result.outcomes.resize(requests.size());
   LeafTracker leaves(tree.node_count());
 
   const std::uint64_t m = tree.child_arity();
@@ -330,9 +338,11 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
     }
   }
 
-  for (const Request& r : requests) {
-    RequestOutcome out;
-    out.path = Path{r.src, r.dst, 0, {}};
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Request& r = requests[i];
+    RequestOutcome& out = result.outcomes[i];
+    out.path.src = r.src;
+    out.path.dst = r.dst;
     std::uint64_t src_leaf = 0;
     std::uint64_t dst_leaf = 0;
     std::uint32_t H = 0;
@@ -344,8 +354,8 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
         out.reason = RejectReason::kLeafBusy;
         resolved = true;
       } else {
-        src_leaf = tree.leaf_switch(r.src).index;
-        dst_leaf = tree.leaf_switch(r.dst).index;
+        src_leaf = divm(r.src);
+        dst_leaf = divm(r.dst);
         H = divm.meet(src_leaf, dst_leaf);
         if (H == 0) {
           out.granted = true;  // circuit lives inside one leaf crossbar
@@ -353,10 +363,7 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
         }
       }
     }
-    if (resolved) {
-      result.outcomes.push_back(out);
-      continue;
-    }
+    if (resolved) continue;
     out.path.ancestor_level = H;
 
     Transaction tx(state);
@@ -367,8 +374,9 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
     std::uint64_t dst_rest = dst_leaf;
     bool rejected = false;
     for (std::uint32_t h = 0; h < H; ++h) {
-      const auto port = pick_port(state, h, sigma, delta, rr_hint_by_level_[h]);
-      if (!port) {
+      const std::uint32_t port =
+          pick_port(state, h, sigma, delta, rr_hint_by_level_[h]);
+      if (port == LinkState::kNoPort) {
         out.reason = RejectReason::kNoCommonPort;
         out.fail_level = h;
         rejected = true;
@@ -377,12 +385,12 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
       {
         obs::ProfileRegion commit_region(profiler_, obs::ProfilePhase::kCommit,
                                          h);
-        tx.occupy(h, sigma, delta, *port);
-        out.path.ports.push_back(*port);
+        tx.occupy(h, sigma, delta, port);
+        out.path.ports.push_back(port);
       }
       obs::ProfileRegion label_region(profiler_, obs::ProfilePhase::kLabel, h);
       // Theorem-1 digit shift, incrementally (see schedule_level_major).
-      pval = *port + w * pval;
+      pval = port + w * pval;
       src_rest = divm(src_rest);
       dst_rest = divm(dst_rest);
       sigma = pval + wpow[h + 1] * src_rest;
@@ -406,7 +414,6 @@ ScheduleResult LevelwiseScheduler::schedule_request_major(
       obs::ProfileRegion commit_region(profiler_, obs::ProfilePhase::kCommit);
       tx.commit();
     }
-    result.outcomes.push_back(out);
   }
   if (probe_) record_outcomes(result);
   return result;

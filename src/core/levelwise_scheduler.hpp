@@ -70,12 +70,11 @@ class LevelwiseScheduler final : public Scheduler {
                                            std::span<const Request> requests,
                                            LinkState& state);
 
-  /// Applies the port policy to the AND row; nullopt when the row is zero.
-  std::optional<std::uint32_t> pick_port(const LinkState& state,
-                                         std::uint32_t level,
-                                         std::uint64_t src_sw,
-                                         std::uint64_t dst_sw,
-                                         std::vector<std::uint32_t>& rr_hint);
+  /// Applies the port policy to the AND row; LinkState::kNoPort when the
+  /// row is zero.
+  std::uint32_t pick_port(const LinkState& state, std::uint32_t level,
+                          std::uint64_t src_sw, std::uint64_t dst_sw,
+                          std::vector<std::uint32_t>& rr_hint);
 
   /// kProbed=false / kProfiled=false compiles to exactly the uninstrumented
   /// pick (direct returns, no popcount, no regions) so unattached
@@ -85,9 +84,9 @@ class LevelwiseScheduler final : public Scheduler {
   /// and that fused cost lands in the kPortPick slot) and the selection
   /// itself with profile regions.
   template <bool kProbed, bool kProfiled>
-  std::optional<std::uint32_t> pick_port_impl(
-      const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
-      std::uint64_t dst_sw, std::vector<std::uint32_t>& rr_hint);
+  std::uint32_t pick_port_impl(const LinkState& state, std::uint32_t level,
+                               std::uint64_t src_sw, std::uint64_t dst_sw,
+                               std::vector<std::uint32_t>& rr_hint);
 
   LevelwiseOptions options_;
   Xoshiro256ss rng_;

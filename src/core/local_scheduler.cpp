@@ -13,7 +13,7 @@ LocalAdaptiveScheduler::LocalAdaptiveScheduler(LocalOptions options)
   if (!options_.release_on_fail) name_ += "-hold";
 }
 
-std::optional<std::uint32_t> LocalAdaptiveScheduler::pick_local_port(
+std::uint32_t LocalAdaptiveScheduler::pick_local_port(
     const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
     std::vector<std::uint32_t>& rr_hint) {
   if (profiler_) [[unlikely]] {
@@ -29,7 +29,7 @@ std::optional<std::uint32_t> LocalAdaptiveScheduler::pick_local_port(
 }
 
 template <bool kProbed, bool kProfiled>
-std::optional<std::uint32_t> LocalAdaptiveScheduler::pick_local_port_impl(
+std::uint32_t LocalAdaptiveScheduler::pick_local_port_impl(
     const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
     std::vector<std::uint32_t>& rr_hint) {
   obs::ProfileSession* const prof = kProfiled ? profiler_ : nullptr;
@@ -38,9 +38,9 @@ std::optional<std::uint32_t> LocalAdaptiveScheduler::pick_local_port_impl(
     probe_->on_and_popcount(level, state.local_ulink_count(level, src_sw));
   }
   obs::ProfileRegion pick_region(prof, obs::ProfilePhase::kPortPick, level);
-  const auto picked = [&](std::optional<std::uint32_t> port) {
+  const auto picked = [&](std::uint32_t port) {
     if constexpr (kProbed) {
-      if (port) probe_->on_port_pick(level, *port);
+      if (port != LinkState::kNoPort) probe_->on_port_pick(level, port);
     }
     return port;
   };
@@ -49,16 +49,18 @@ std::optional<std::uint32_t> LocalAdaptiveScheduler::pick_local_port_impl(
       return picked(state.first_local_ulink(level, src_sw));
     case PortPolicy::kRandom: {
       const std::uint32_t count = state.local_ulink_count(level, src_sw);
-      if (count == 0) return std::nullopt;
+      if (count == 0) return LinkState::kNoPort;
       return picked(state.nth_local_ulink(
           level, src_sw, static_cast<std::uint32_t>(rng_.below(count))));
     }
     case PortPolicy::kRoundRobin: {
       const std::uint32_t w = state.ports_per_switch();
       std::uint32_t& hint = rr_hint[src_sw];
-      auto port = state.next_local_ulink(level, src_sw, hint);
-      if (!port) port = state.first_local_ulink(level, src_sw);
-      if (port) hint = (*port + 1) % w;
+      std::uint32_t port = state.next_local_ulink(level, src_sw, hint);
+      if (port == LinkState::kNoPort) {
+        port = state.first_local_ulink(level, src_sw);
+      }
+      if (port != LinkState::kNoPort) hint = (port + 1) % w;
       return picked(port);
     }
     // Balanced variants act on the source-side column weights only — the
@@ -69,14 +71,15 @@ std::optional<std::uint32_t> LocalAdaptiveScheduler::pick_local_port_impl(
     case PortPolicy::kBalancedRR: {
       const std::uint32_t w = state.ports_per_switch();
       std::uint32_t& hint = rr_hint[src_sw];
-      const auto port = state.balanced_local_ulink_from(level, src_sw, hint);
-      if (port) hint = (*port + 1) % w;
+      const std::uint32_t port =
+          state.balanced_local_ulink_from(level, src_sw, hint);
+      if (port != LinkState::kNoPort) hint = (port + 1) % w;
       return picked(port);
     }
     case PortPolicy::kBalancedRandom: {
       const std::uint32_t count =
           state.balanced_local_ulink_count(level, src_sw);
-      if (count == 0) return std::nullopt;
+      if (count == 0) return LinkState::kNoPort;
       return picked(state.nth_balanced_local_ulink(
           level, src_sw, static_cast<std::uint32_t>(rng_.below(count))));
     }
@@ -89,7 +92,7 @@ ScheduleResult LocalAdaptiveScheduler::schedule(
   if (probe_) probe_->on_batch_begin(requests.size());
   obs::ScopedSpan batch_span(tracer_, name_, "sched.batch");
   ScheduleResult result;
-  result.outcomes.reserve(requests.size());
+  result.outcomes.resize(requests.size());
   LeafTracker leaves(tree.node_count());
 
   const std::uint64_t m = tree.child_arity();
@@ -109,9 +112,11 @@ ScheduleResult LocalAdaptiveScheduler::schedule(
     }
   }
 
-  for (const Request& r : requests) {
-    RequestOutcome out;
-    out.path = Path{r.src, r.dst, 0, {}};
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Request& r = requests[i];
+    RequestOutcome& out = result.outcomes[i];
+    out.path.src = r.src;
+    out.path.dst = r.dst;
     std::uint64_t src_leaf = 0;
     std::uint64_t dst_leaf = 0;
     std::uint32_t H = 0;
@@ -123,8 +128,8 @@ ScheduleResult LocalAdaptiveScheduler::schedule(
         out.reason = RejectReason::kLeafBusy;
         resolved = true;
       } else {
-        src_leaf = tree.leaf_switch(r.src).index;
-        dst_leaf = tree.leaf_switch(r.dst).index;
+        src_leaf = divm(r.src);
+        dst_leaf = divm(r.dst);
         H = divm.meet(src_leaf, dst_leaf);
         if (H == 0) {
           out.granted = true;
@@ -132,10 +137,7 @@ ScheduleResult LocalAdaptiveScheduler::schedule(
         }
       }
     }
-    if (resolved) {
-      result.outcomes.push_back(out);
-      continue;
-    }
+    if (resolved) continue;
     out.path.ancestor_level = H;
 
     Transaction tx(state);
@@ -153,8 +155,9 @@ ScheduleResult LocalAdaptiveScheduler::schedule(
     std::array<std::uint64_t, kMaxTreeLevels> delta_at{};
     for (std::uint32_t h = 0; h < H; ++h) {
       delta_at[h] = pval + wpow[h] * dst_rest;
-      const auto port = pick_local_port(state, h, sigma, rr_hint_by_level_[h]);
-      if (!port) {
+      const std::uint32_t port =
+          pick_local_port(state, h, sigma, rr_hint_by_level_[h]);
+      if (port == LinkState::kNoPort) {
         out.reason = RejectReason::kNoLocalUplink;
         out.fail_level = h;
         rejected = true;
@@ -163,11 +166,11 @@ ScheduleResult LocalAdaptiveScheduler::schedule(
       {
         obs::ProfileRegion commit_region(profiler_, obs::ProfilePhase::kCommit,
                                          h);
-        tx.occupy_up(h, sigma, *port);
-        out.path.ports.push_back(*port);
+        tx.occupy_up(h, sigma, port);
+        out.path.ports.push_back(port);
       }
       obs::ProfileRegion label_region(profiler_, obs::ProfilePhase::kLabel, h);
-      pval = *port + w * pval;
+      pval = port + w * pval;
       src_rest = divm(src_rest);
       dst_rest = divm(dst_rest);
       sigma = pval + wpow[h + 1] * src_rest;
@@ -208,7 +211,6 @@ ScheduleResult LocalAdaptiveScheduler::schedule(
       obs::ProfileRegion commit_region(profiler_, obs::ProfilePhase::kCommit);
       tx.commit();
     }
-    result.outcomes.push_back(out);
   }
   if (probe_) record_outcomes(result);
   return result;

@@ -40,9 +40,11 @@ class LocalAdaptiveScheduler final : public Scheduler {
   const LocalOptions& options() const { return options_; }
 
  private:
-  std::optional<std::uint32_t> pick_local_port(
-      const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
-      std::vector<std::uint32_t>& rr_hint);
+  /// Applies the port policy to the source row; LinkState::kNoPort when no
+  /// up-port is free.
+  std::uint32_t pick_local_port(const LinkState& state, std::uint32_t level,
+                                std::uint64_t src_sw,
+                                std::vector<std::uint32_t>& rr_hint);
 
   /// kProbed=false / kProfiled=false compiles to exactly the uninstrumented
   /// pick, so unattached instruments cost branches in pick_local_port(),
@@ -50,9 +52,9 @@ class LocalAdaptiveScheduler final : public Scheduler {
   /// explicit popcount under kAnd (probed mode only), selection under
   /// kPortPick.
   template <bool kProbed, bool kProfiled>
-  std::optional<std::uint32_t> pick_local_port_impl(
-      const LinkState& state, std::uint32_t level, std::uint64_t src_sw,
-      std::vector<std::uint32_t>& rr_hint);
+  std::uint32_t pick_local_port_impl(const LinkState& state,
+                                     std::uint32_t level, std::uint64_t src_sw,
+                                     std::vector<std::uint32_t>& rr_hint);
 
   LocalOptions options_;
   Xoshiro256ss rng_;

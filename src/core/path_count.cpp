@@ -9,11 +9,12 @@ std::uint64_t count_from(const FatTree& tree, const LinkState& state,
                          std::uint64_t sigma, std::uint64_t delta) {
   if (level == ancestor) return 1;
   std::uint64_t total = 0;
-  for (auto port = state.first_available_port(level, sigma, delta); port;
-       port = state.next_available_port(level, sigma, delta, *port + 1)) {
+  for (std::uint32_t port = state.first_available_port(level, sigma, delta);
+       port != LinkState::kNoPort;
+       port = state.next_available_port(level, sigma, delta, port + 1)) {
     total += count_from(tree, state, level + 1, ancestor,
-                        tree.ascend(level, sigma, *port),
-                        tree.ascend(level, delta, *port));
+                        tree.ascend(level, sigma, port),
+                        tree.ascend(level, delta, port));
   }
   return total;
 }

@@ -18,14 +18,14 @@ std::optional<DigitVec> RearrangingConnectionManager::walk(
   std::uint64_t sigma = src_leaf;
   std::uint64_t delta = dst_leaf;
   for (std::uint32_t h = 0; h < ancestor; ++h) {
-    const auto port = state_.first_available_port(h, sigma, delta);
-    if (!port) {
+    const std::uint32_t port = state_.first_available_port(h, sigma, delta);
+    if (port == LinkState::kNoPort) {
       block = Block{h, sigma, delta};
       return std::nullopt;
     }
-    ports.push_back(*port);
-    sigma = tree_.ascend(h, sigma, *port);
-    delta = tree_.ascend(h, delta, *port);
+    ports.push_back(port);
+    sigma = tree_.ascend(h, sigma, port);
+    delta = tree_.ascend(h, delta, port);
   }
   return ports;
 }

@@ -8,6 +8,7 @@
 // covers inter-switch levels.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -56,37 +57,44 @@ constexpr bool policy_uses_hint(PortPolicy policy) {
 /// Occupancy of the PE<->leaf-switch channels, which LinkState does not
 /// model. Under a (partial) permutation these never conflict; under hot-spot
 /// or many-to-one workloads the ejection channel serializes access to a PE.
+/// This is the first check every scheduler's admission makes, so it owns the
+/// PE-id bounds check: an out-of-range id aborts here, before any write.
+/// One byte per flag rather than std::vector<bool>, whose bit proxies turn
+/// each test-and-set into a read-modify-write of a shared word.
 class LeafTracker {
  public:
   explicit LeafTracker(std::uint64_t node_count)
-      : injection_(node_count, false), ejection_(node_count, false) {}
+      : injection_(node_count, 0), ejection_(node_count, 0) {}
 
   bool try_claim(NodeId src, NodeId dst) {
-    if (injection_[src] || ejection_[dst]) return false;
-    injection_[src] = true;
-    ejection_[dst] = true;
+    FT_REQUIRE(src < injection_.size() && dst < ejection_.size());
+    if (injection_[src] | ejection_[dst]) return false;
+    injection_[src] = 1;
+    ejection_[dst] = 1;
     return true;
   }
 
   /// Whether try_claim(src, dst) would succeed, without claiming.
   bool can_claim(NodeId src, NodeId dst) const {
-    return !injection_[src] && !ejection_[dst];
+    FT_REQUIRE(src < injection_.size() && dst < ejection_.size());
+    return (injection_[src] | ejection_[dst]) == 0;
   }
 
   void release(NodeId src, NodeId dst) {
+    FT_REQUIRE(src < injection_.size() && dst < ejection_.size());
     FT_REQUIRE(injection_[src] && ejection_[dst]);
-    injection_[src] = false;
-    ejection_[dst] = false;
+    injection_[src] = 0;
+    ejection_[dst] = 0;
   }
 
   void reset() {
-    injection_.assign(injection_.size(), false);
-    ejection_.assign(ejection_.size(), false);
+    injection_.assign(injection_.size(), 0);
+    ejection_.assign(ejection_.size(), 0);
   }
 
  private:
-  std::vector<bool> injection_;
-  std::vector<bool> ejection_;
+  std::vector<std::uint8_t> injection_;
+  std::vector<std::uint8_t> ejection_;
 };
 
 class Scheduler {

@@ -29,19 +29,20 @@ ScheduleResult StaticDestinationScheduler::schedule(
   if (probe_) probe_->on_batch_begin(requests.size());
   obs::ScopedSpan batch_span(tracer_, name(), "sched.batch");
   ScheduleResult result;
-  result.outcomes.reserve(requests.size());
+  result.outcomes.resize(requests.size());
   LeafTracker leaves(tree.node_count());
 
   const std::uint64_t m = tree.child_arity();
   const std::uint64_t w = tree.parent_arity();
   const auto wpow = parent_arity_powers(tree);
 
-  for (const Request& r : requests) {
-    RequestOutcome out;
-    out.path = Path{r.src, r.dst, 0, {}};
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Request& r = requests[i];
+    RequestOutcome& out = result.outcomes[i];
+    out.path.src = r.src;
+    out.path.dst = r.dst;
     if (!leaves.try_claim(r.src, r.dst)) {
       out.reason = RejectReason::kLeafBusy;
-      result.outcomes.push_back(out);
       continue;
     }
     const std::uint64_t src_leaf = tree.leaf_switch(r.src).index;
@@ -49,7 +50,6 @@ ScheduleResult StaticDestinationScheduler::schedule(
     const std::uint32_t H = meet_level(src_leaf, dst_leaf, m);
     if (H == 0) {
       out.granted = true;
-      result.outcomes.push_back(out);
       continue;
     }
     const DigitVec ports = static_ports(tree, r.dst, H);
@@ -106,7 +106,6 @@ ScheduleResult StaticDestinationScheduler::schedule(
       out.path.ports = ports;
       tx.commit();
     }
-    result.outcomes.push_back(out);
   }
   if (probe_) record_outcomes(result);
   return result;

@@ -137,9 +137,9 @@ class TurnbackSearch {
     std::vector<std::uint32_t>& candidates = scratch_[h];
     candidates.clear();
     const std::uint64_t sw = sigma_.back();
-    for (auto p = state_.first_local_ulink(h, sw); p;
-         p = state_.next_local_ulink(h, sw, *p + 1)) {
-      candidates.push_back(*p);
+    for (std::uint32_t p = state_.first_local_ulink(h, sw);
+         p != LinkState::kNoPort; p = state_.next_local_ulink(h, sw, p + 1)) {
+      candidates.push_back(p);
     }
     if (options_.policy == PortPolicy::kRandom) {
       rng_.shuffle(candidates.begin(), candidates.end());
@@ -180,18 +180,19 @@ ScheduleResult TurnbackScheduler::schedule(const FatTree& tree,
   if (probe_) probe_->on_batch_begin(requests.size());
   obs::ScopedSpan batch_span(tracer_, name_, "sched.batch");
   ScheduleResult result;
-  result.outcomes.reserve(requests.size());
+  result.outcomes.resize(requests.size());
   LeafTracker leaves(tree.node_count());
 
   const std::uint64_t m = tree.child_arity();
   candidate_scratch_.resize(tree.levels() - 1);
 
-  for (const Request& r : requests) {
-    RequestOutcome out;
-    out.path = Path{r.src, r.dst, 0, {}};
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Request& r = requests[i];
+    RequestOutcome& out = result.outcomes[i];
+    out.path.src = r.src;
+    out.path.dst = r.dst;
     if (!leaves.try_claim(r.src, r.dst)) {
       out.reason = RejectReason::kLeafBusy;
-      result.outcomes.push_back(out);
       continue;
     }
     const std::uint64_t src_leaf = tree.leaf_switch(r.src).index;
@@ -199,7 +200,6 @@ ScheduleResult TurnbackScheduler::schedule(const FatTree& tree,
     const std::uint32_t H = meet_level(src_leaf, dst_leaf, m);
     if (H == 0) {
       out.granted = true;
-      result.outcomes.push_back(out);
       continue;
     }
 
@@ -213,7 +213,6 @@ ScheduleResult TurnbackScheduler::schedule(const FatTree& tree,
     } else {
       leaves.release(r.src, r.dst);
     }
-    result.outcomes.push_back(out);
   }
   if (probe_) record_outcomes(result);
   return result;

@@ -43,7 +43,8 @@ MultilaneReport MultilanePipeline::schedule(
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const Request& r = requests[i];
     RequestOutcome& out = report.result.outcomes[i];
-    out.path = Path{r.src, r.dst, 0, {}};
+    out.path.src = r.src;
+    out.path.dst = r.dst;
     if (!leaves.try_claim(r.src, r.dst)) {
       out.reason = RejectReason::kLeafBusy;
       continue;
@@ -90,18 +91,19 @@ MultilaneReport MultilanePipeline::schedule(
         u_bank[s.sigma % banks].insert(s.sigma);
         d_bank[s.delta % banks].insert(s.delta);
 
-        const auto port = memory.first_available_port(h, s.sigma, s.delta);
-        if (!port) {
+        const std::uint32_t port =
+            memory.first_available_port(h, s.sigma, s.delta);
+        if (port == LinkState::kNoPort) {
           s.alive = false;
           RequestOutcome& out = report.result.outcomes[s.request_index];
           out.reason = RejectReason::kNoCommonPort;
           out.fail_level = h;
           continue;
         }
-        memory.occupy(h, s.sigma, s.delta, *port);
-        s.ports.push_back(*port);
-        s.sigma = tree_.ascend(h, s.sigma, *port);
-        s.delta = tree_.ascend(h, s.delta, *port);
+        memory.occupy(h, s.sigma, s.delta, port);
+        s.ports.push_back(port);
+        s.sigma = tree_.ascend(h, s.sigma, port);
+        s.delta = tree_.ascend(h, s.delta, port);
       }
       std::uint64_t worst = 1;
       for (const auto& [bank, rows] : u_bank) {

@@ -90,7 +90,8 @@ PipelineReport LevelwisePipeline::schedule(std::span<const Request> requests) {
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const Request& r = requests[i];
     RequestOutcome& out = report.result.outcomes[i];
-    out.path = Path{r.src, r.dst, 0, {}};
+    out.path.src = r.src;
+    out.path.dst = r.dst;
     if (!leaves.try_claim(r.src, r.dst)) {
       out.reason = RejectReason::kLeafBusy;
       continue;

@@ -170,31 +170,6 @@ void LinkState::set_dlink(std::uint32_t level, std::uint64_t sw,
       available ? 1 : std::uint64_t(-1);
 }
 
-std::optional<std::uint32_t> LinkState::first_available_port(
-    std::uint32_t level, std::uint64_t src_sw, std::uint64_t dst_sw) const {
-  return next_available_port(level, src_sw, dst_sw, 0);
-}
-
-std::optional<std::uint32_t> LinkState::next_available_port(
-    std::uint32_t level, std::uint64_t src_sw, std::uint64_t dst_sw,
-    std::uint32_t from) const {
-  FT_REQUIRE(level < link_levels_);
-  FT_REQUIRE(src_sw < rows_[level]);
-  FT_REQUIRE(dst_sw < rows_[level]);
-  if (from >= w_) return std::nullopt;
-  const std::uint64_t* su = &u_[level][src_sw * row_words_];
-  const std::uint64_t* dd = &d_[level][dst_sw * row_words_];
-  std::uint64_t wd = from / 64;
-  std::uint64_t word = (su[wd] & dd[wd]) & ~bits::low_mask(from % 64);
-  while (true) {
-    if (word != 0) {
-      return static_cast<std::uint32_t>(wd * 64 + bits::find_first_word(word));
-    }
-    if (++wd >= row_words_) return std::nullopt;
-    word = su[wd] & dd[wd];
-  }
-}
-
 std::uint32_t LinkState::available_port_count(std::uint32_t level,
                                               std::uint64_t src_sw,
                                               std::uint64_t dst_sw) const {
@@ -210,7 +185,7 @@ std::uint32_t LinkState::available_port_count(std::uint32_t level,
   return count;
 }
 
-std::optional<std::uint32_t> LinkState::nth_available_port(
+std::uint32_t LinkState::nth_available_port(
     std::uint32_t level, std::uint64_t src_sw, std::uint64_t dst_sw,
     std::uint32_t index) const {
   FT_REQUIRE(level < link_levels_);
@@ -225,10 +200,10 @@ std::optional<std::uint32_t> LinkState::nth_available_port(
       word &= word - 1;
     }
   }
-  return std::nullopt;
+  return kNoPort;
 }
 
-std::optional<std::uint32_t> LinkState::balanced_port(
+std::uint32_t LinkState::balanced_port(
     std::uint32_t level, std::uint64_t src_sw, std::uint64_t dst_sw) const {
   FT_REQUIRE(level < link_levels_);
   FT_REQUIRE(src_sw < rows_[level]);
@@ -237,7 +212,7 @@ std::optional<std::uint32_t> LinkState::balanced_port(
   const std::uint64_t* dd = &d_[level][dst_sw * row_words_];
   const std::uint64_t* cu = &col_free_u_[std::uint64_t{level} * w_];
   const std::uint64_t* cd = &col_free_d_[std::uint64_t{level} * w_];
-  std::optional<std::uint32_t> best;
+  std::uint32_t best = kNoPort;
   std::uint64_t best_weight = 0;
   for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
     std::uint64_t word = su[wd] & dd[wd];
@@ -247,7 +222,7 @@ std::optional<std::uint32_t> LinkState::balanced_port(
       const std::uint64_t weight = cu[p] + cd[p];
       // Strictly-greater keeps the LOWEST port on ties, matching the
       // paper's priority selector within the max-weight plane set.
-      if (!best || weight > best_weight) {
+      if (best == kNoPort || weight > best_weight) {
         best = p;
         best_weight = weight;
       }
@@ -257,7 +232,7 @@ std::optional<std::uint32_t> LinkState::balanced_port(
   return best;
 }
 
-std::optional<std::uint32_t> LinkState::balanced_port_from(
+std::uint32_t LinkState::balanced_port_from(
     std::uint32_t level, std::uint64_t src_sw, std::uint64_t dst_sw,
     std::uint32_t from) const {
   FT_REQUIRE(level < link_levels_);
@@ -270,8 +245,8 @@ std::optional<std::uint32_t> LinkState::balanced_port_from(
   // One pass tracks both the global argmax (lowest-port tiebreak) and the
   // argmax restricted to ports >= from; the hint rule prefers the latter
   // when it reaches the same maximum weight, else wraps to the former.
-  std::optional<std::uint32_t> best;
-  std::optional<std::uint32_t> best_from;
+  std::uint32_t best = kNoPort;
+  std::uint32_t best_from = kNoPort;
   std::uint64_t best_weight = 0;
   std::uint64_t best_from_weight = 0;
   for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
@@ -280,18 +255,20 @@ std::optional<std::uint32_t> LinkState::balanced_port_from(
       const auto p = static_cast<std::uint32_t>(wd * 64 +
                                                 bits::find_first_word(word));
       const std::uint64_t weight = cu[p] + cd[p];
-      if (!best || weight > best_weight) {
+      if (best == kNoPort || weight > best_weight) {
         best = p;
         best_weight = weight;
       }
-      if (p >= from && (!best_from || weight > best_from_weight)) {
+      if (p >= from && (best_from == kNoPort || weight > best_from_weight)) {
         best_from = p;
         best_from_weight = weight;
       }
       word &= word - 1;
     }
   }
-  if (best_from && best_from_weight == best_weight) return best_from;
+  if (best_from != kNoPort && best_from_weight == best_weight) {
+    return best_from;
+  }
   return best;
 }
 
@@ -327,7 +304,7 @@ std::uint32_t LinkState::balanced_port_count(std::uint32_t level,
   return count;
 }
 
-std::optional<std::uint32_t> LinkState::nth_balanced_port(
+std::uint32_t LinkState::nth_balanced_port(
     std::uint32_t level, std::uint64_t src_sw, std::uint64_t dst_sw,
     std::uint32_t index) const {
   FT_REQUIRE(level < link_levels_);
@@ -350,7 +327,7 @@ std::optional<std::uint32_t> LinkState::nth_balanced_port(
       word &= word - 1;
     }
   }
-  if (!any) return std::nullopt;
+  if (!any) return kNoPort;
   for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
     std::uint64_t word = su[wd] & dd[wd];
     while (word != 0) {
@@ -363,23 +340,23 @@ std::optional<std::uint32_t> LinkState::nth_balanced_port(
       word &= word - 1;
     }
   }
-  return std::nullopt;
+  return kNoPort;
 }
 
-std::optional<std::uint32_t> LinkState::balanced_local_ulink(
+std::uint32_t LinkState::balanced_local_ulink(
     std::uint32_t level, std::uint64_t src_sw) const {
   FT_REQUIRE(level < link_levels_);
   FT_REQUIRE(src_sw < rows_[level]);
   const std::uint64_t* su = &u_[level][src_sw * row_words_];
   const std::uint64_t* cu = &col_free_u_[std::uint64_t{level} * w_];
-  std::optional<std::uint32_t> best;
+  std::uint32_t best = kNoPort;
   std::uint64_t best_weight = 0;
   for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
     std::uint64_t word = su[wd];
     while (word != 0) {
       const auto p = static_cast<std::uint32_t>(wd * 64 +
                                                 bits::find_first_word(word));
-      if (!best || cu[p] > best_weight) {
+      if (best == kNoPort || cu[p] > best_weight) {
         best = p;
         best_weight = cu[p];
       }
@@ -389,14 +366,14 @@ std::optional<std::uint32_t> LinkState::balanced_local_ulink(
   return best;
 }
 
-std::optional<std::uint32_t> LinkState::balanced_local_ulink_from(
+std::uint32_t LinkState::balanced_local_ulink_from(
     std::uint32_t level, std::uint64_t src_sw, std::uint32_t from) const {
   FT_REQUIRE(level < link_levels_);
   FT_REQUIRE(src_sw < rows_[level]);
   const std::uint64_t* su = &u_[level][src_sw * row_words_];
   const std::uint64_t* cu = &col_free_u_[std::uint64_t{level} * w_];
-  std::optional<std::uint32_t> best;
-  std::optional<std::uint32_t> best_from;
+  std::uint32_t best = kNoPort;
+  std::uint32_t best_from = kNoPort;
   std::uint64_t best_weight = 0;
   std::uint64_t best_from_weight = 0;
   for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
@@ -404,18 +381,20 @@ std::optional<std::uint32_t> LinkState::balanced_local_ulink_from(
     while (word != 0) {
       const auto p = static_cast<std::uint32_t>(wd * 64 +
                                                 bits::find_first_word(word));
-      if (!best || cu[p] > best_weight) {
+      if (best == kNoPort || cu[p] > best_weight) {
         best = p;
         best_weight = cu[p];
       }
-      if (p >= from && (!best_from || cu[p] > best_from_weight)) {
+      if (p >= from && (best_from == kNoPort || cu[p] > best_from_weight)) {
         best_from = p;
         best_from_weight = cu[p];
       }
       word &= word - 1;
     }
   }
-  if (best_from && best_from_weight == best_weight) return best_from;
+  if (best_from != kNoPort && best_from_weight == best_weight) {
+    return best_from;
+  }
   return best;
 }
 
@@ -446,7 +425,7 @@ std::uint32_t LinkState::balanced_local_ulink_count(std::uint32_t level,
   return count;
 }
 
-std::optional<std::uint32_t> LinkState::nth_balanced_local_ulink(
+std::uint32_t LinkState::nth_balanced_local_ulink(
     std::uint32_t level, std::uint64_t src_sw, std::uint32_t index) const {
   FT_REQUIRE(level < link_levels_);
   const std::uint64_t* su = &u_[level][src_sw * row_words_];
@@ -465,7 +444,7 @@ std::optional<std::uint32_t> LinkState::nth_balanced_local_ulink(
       word &= word - 1;
     }
   }
-  if (!any) return std::nullopt;
+  if (!any) return kNoPort;
   for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
     std::uint64_t word = su[wd];
     while (word != 0) {
@@ -478,7 +457,7 @@ std::optional<std::uint32_t> LinkState::nth_balanced_local_ulink(
       word &= word - 1;
     }
   }
-  return std::nullopt;
+  return kNoPort;
 }
 
 std::uint32_t LinkState::local_ulink_count(std::uint32_t level,
@@ -493,29 +472,7 @@ std::uint32_t LinkState::local_ulink_count(std::uint32_t level,
   return count;
 }
 
-std::optional<std::uint32_t> LinkState::first_local_ulink(
-    std::uint32_t level, std::uint64_t src_sw) const {
-  return next_local_ulink(level, src_sw, 0);
-}
-
-std::optional<std::uint32_t> LinkState::next_local_ulink(
-    std::uint32_t level, std::uint64_t src_sw, std::uint32_t from) const {
-  FT_REQUIRE(level < link_levels_);
-  FT_REQUIRE(src_sw < rows_[level]);
-  if (from >= w_) return std::nullopt;
-  const std::uint64_t* su = &u_[level][src_sw * row_words_];
-  std::uint64_t wd = from / 64;
-  std::uint64_t word = su[wd] & ~bits::low_mask(from % 64);
-  while (true) {
-    if (word != 0) {
-      return static_cast<std::uint32_t>(wd * 64 + bits::find_first_word(word));
-    }
-    if (++wd >= row_words_) return std::nullopt;
-    word = su[wd];
-  }
-}
-
-std::optional<std::uint32_t> LinkState::nth_local_ulink(
+std::uint32_t LinkState::nth_local_ulink(
     std::uint32_t level, std::uint64_t src_sw, std::uint32_t index) const {
   FT_REQUIRE(level < link_levels_);
   const std::uint64_t* su = &u_[level][src_sw * row_words_];
@@ -528,7 +485,7 @@ std::optional<std::uint32_t> LinkState::nth_local_ulink(
       word &= word - 1;
     }
   }
-  return std::nullopt;
+  return kNoPort;
 }
 
 void LinkState::occupy(std::uint32_t level, std::uint64_t src_sw,

@@ -13,11 +13,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "topology/fat_tree.hpp"
 #include "topology/path.hpp"
+#include "util/bitvec.hpp"
 #include "util/contracts.hpp"
 #include "util/result.hpp"
 
@@ -53,31 +53,54 @@ class LinkState {
                  bool available);
 
   // --- The scheduler's fused row operation ----------------------------------
+  //
+  // Every row pick below returns a port number, or kNoPort when no port
+  // qualifies. A plain integer, not std::optional: GCC 12 returns an
+  // optional<uint32_t> through a stack slot (a 4-byte port store, a 1-byte
+  // flag store, then one 8-byte load), and that load cannot be forwarded
+  // from the two narrower stores, so every pick paid a store-forwarding
+  // stall on the scheduler's hot path.
+
+  /// Returned by every row pick when no port qualifies.
+  static constexpr std::uint32_t kNoPort = ~std::uint32_t{0};
 
   /// First port i with Ulink(level, src_sw)[i] AND Dlink(level, dst_sw)[i]
-  /// (the paper's priority-selector semantics), or nullopt if the AND is all
+  /// (the paper's priority-selector semantics), or kNoPort if the AND is all
   /// zero — the request is unschedulable at this level.
-  std::optional<std::uint32_t> first_available_port(std::uint32_t level,
-                                                    std::uint64_t src_sw,
-                                                    std::uint64_t dst_sw) const;
+  std::uint32_t first_available_port(std::uint32_t level, std::uint64_t src_sw,
+                                     std::uint64_t dst_sw) const {
+    return next_available_port(level, src_sw, dst_sw, 0);
+  }
 
-  /// Like first_available_port but skips ports below `from` — used by the
-  /// round-robin policy ablation.
-  std::optional<std::uint32_t> next_available_port(std::uint32_t level,
-                                                   std::uint64_t src_sw,
-                                                   std::uint64_t dst_sw,
-                                                   std::uint32_t from) const;
+  /// Like first_available_port but skips ports below `from` (kNoPort when
+  /// from >= w) — used by the round-robin policy.
+  std::uint32_t next_available_port(std::uint32_t level, std::uint64_t src_sw,
+                                    std::uint64_t dst_sw,
+                                    std::uint32_t from) const {
+    FT_REQUIRE(level < link_levels_);
+    FT_REQUIRE(src_sw < rows_[level]);
+    FT_REQUIRE(dst_sw < rows_[level]);
+    if (from >= w_) return kNoPort;
+    const std::uint64_t* su = &u_[level][src_sw * row_words_];
+    const std::uint64_t* dd = &d_[level][dst_sw * row_words_];
+    std::uint64_t wd = from / 64;
+    std::uint64_t word = (su[wd] & dd[wd]) & ~bits::low_mask(from % 64);
+    while (word == 0) {
+      if (++wd >= row_words_) return kNoPort;
+      word = su[wd] & dd[wd];
+    }
+    return static_cast<std::uint32_t>(wd * 64 + bits::find_first_word(word));
+  }
 
   /// Number of ports available on BOTH sides (popcount of the AND).
   std::uint32_t available_port_count(std::uint32_t level, std::uint64_t src_sw,
                                      std::uint64_t dst_sw) const;
 
-  /// The `index`-th (0-based) available port of the AND row, or nullopt if
+  /// The `index`-th (0-based) available port of the AND row, or kNoPort if
   /// fewer are free — used by the random port policy.
-  std::optional<std::uint32_t> nth_available_port(std::uint32_t level,
-                                                  std::uint64_t src_sw,
-                                                  std::uint64_t dst_sw,
-                                                  std::uint32_t index) const;
+  std::uint32_t nth_available_port(std::uint32_t level, std::uint64_t src_sw,
+                                   std::uint64_t dst_sw,
+                                   std::uint32_t index) const;
 
   // --- Balanced (capacity-weighted) picks -----------------------------------
   //
@@ -106,19 +129,17 @@ class LinkState {
   }
 
   /// Max-weight available port of the AND row (weight = column_free_ulinks +
-  /// column_free_dlinks); ties break to the lowest port. nullopt when the
+  /// column_free_dlinks); ties break to the lowest port. kNoPort when the
   /// AND row is empty.
-  std::optional<std::uint32_t> balanced_port(std::uint32_t level,
-                                             std::uint64_t src_sw,
-                                             std::uint64_t dst_sw) const;
+  std::uint32_t balanced_port(std::uint32_t level, std::uint64_t src_sw,
+                              std::uint64_t dst_sw) const;
 
   /// Like balanced_port, but ties break to the first max-weight candidate at
   /// or after `from`, wrapping to the lowest — the balanced round-robin
   /// hint rule.
-  std::optional<std::uint32_t> balanced_port_from(std::uint32_t level,
-                                                  std::uint64_t src_sw,
-                                                  std::uint64_t dst_sw,
-                                                  std::uint32_t from) const;
+  std::uint32_t balanced_port_from(std::uint32_t level, std::uint64_t src_sw,
+                                   std::uint64_t dst_sw,
+                                   std::uint32_t from) const;
 
   /// Number of available ports tied at the maximum weight (0 iff the AND
   /// row is empty) — the candidate-set size the randomized policy draws
@@ -127,35 +148,48 @@ class LinkState {
                                     std::uint64_t dst_sw) const;
 
   /// The `index`-th (0-based, ascending port order) max-weight available
-  /// port, or nullopt if the tie set is smaller.
-  std::optional<std::uint32_t> nth_balanced_port(std::uint32_t level,
-                                                 std::uint64_t src_sw,
-                                                 std::uint64_t dst_sw,
-                                                 std::uint32_t index) const;
+  /// port, or kNoPort if the tie set is smaller.
+  std::uint32_t nth_balanced_port(std::uint32_t level, std::uint64_t src_sw,
+                                  std::uint64_t dst_sw,
+                                  std::uint32_t index) const;
 
   // Source-side-only balanced picks (weight = column_free_ulinks alone) —
   // what the local-information baseline can act on.
-  std::optional<std::uint32_t> balanced_local_ulink(std::uint32_t level,
-                                                    std::uint64_t src_sw) const;
-  std::optional<std::uint32_t> balanced_local_ulink_from(
-      std::uint32_t level, std::uint64_t src_sw, std::uint32_t from) const;
+  std::uint32_t balanced_local_ulink(std::uint32_t level,
+                                     std::uint64_t src_sw) const;
+  std::uint32_t balanced_local_ulink_from(std::uint32_t level,
+                                          std::uint64_t src_sw,
+                                          std::uint32_t from) const;
   std::uint32_t balanced_local_ulink_count(std::uint32_t level,
                                            std::uint64_t src_sw) const;
-  std::optional<std::uint32_t> nth_balanced_local_ulink(
-      std::uint32_t level, std::uint64_t src_sw, std::uint32_t index) const;
+  std::uint32_t nth_balanced_local_ulink(std::uint32_t level,
+                                         std::uint64_t src_sw,
+                                         std::uint32_t index) const;
 
   /// Ports free on the SOURCE side only (local information — what the
   /// conventional adaptive scheduler sees).
   std::uint32_t local_ulink_count(std::uint32_t level,
                                   std::uint64_t src_sw) const;
-  std::optional<std::uint32_t> first_local_ulink(std::uint32_t level,
-                                                 std::uint64_t src_sw) const;
-  std::optional<std::uint32_t> next_local_ulink(std::uint32_t level,
-                                                std::uint64_t src_sw,
-                                                std::uint32_t from) const;
-  std::optional<std::uint32_t> nth_local_ulink(std::uint32_t level,
-                                               std::uint64_t src_sw,
-                                               std::uint32_t index) const;
+  std::uint32_t first_local_ulink(std::uint32_t level,
+                                  std::uint64_t src_sw) const {
+    return next_local_ulink(level, src_sw, 0);
+  }
+  std::uint32_t next_local_ulink(std::uint32_t level, std::uint64_t src_sw,
+                                 std::uint32_t from) const {
+    FT_REQUIRE(level < link_levels_);
+    FT_REQUIRE(src_sw < rows_[level]);
+    if (from >= w_) return kNoPort;
+    const std::uint64_t* su = &u_[level][src_sw * row_words_];
+    std::uint64_t wd = from / 64;
+    std::uint64_t word = su[wd] & ~bits::low_mask(from % 64);
+    while (word == 0) {
+      if (++wd >= row_words_) return kNoPort;
+      word = su[wd];
+    }
+    return static_cast<std::uint32_t>(wd * 64 + bits::find_first_word(word));
+  }
+  std::uint32_t nth_local_ulink(std::uint32_t level, std::uint64_t src_sw,
+                                std::uint32_t index) const;
 
   // --- Raw-row access -------------------------------------------------------
   //

@@ -5,6 +5,8 @@
 #include <istream>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace ftsched::obs {
 
@@ -14,44 +16,93 @@ namespace {
 /// several reads is their std::max.
 enum class Field : std::uint8_t { kOk, kOutOfRange, kMissing };
 
-/// Finds `"key":` in a flat one-line JSON object and parses the unsigned
-/// integer that follows into `out`, refusing any value `out` cannot hold
-/// (a value past 2^64 - 1 is refused before it can wrap). The dump writer
-/// emits exactly this shape (no spaces, no nesting), so plain string
-/// scanning is both sufficient and byte-for-byte deterministic.
-template <typename T>
-Field find_uint(const std::string& line, std::string_view key, T& out) {
-  const std::string needle = std::string("\"").append(key).append("\":");
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return Field::kMissing;
-  std::size_t i = at + needle.size();
-  if (i >= line.size() || line[i] < '0' || line[i] > '9') {
-    return Field::kMissing;
+/// One `"key":value` member of a dump line. `value` is the digits of an
+/// integer, or the characters between the quotes of a string.
+struct Member {
+  std::string_view key;
+  std::string_view value;
+  bool quoted = false;
+};
+
+/// Splits one dump line into its members. The writer emits one flat JSON
+/// object per line — no spaces, no nesting, no escapes, unsigned integers
+/// and plain strings only — and this accepts exactly that shape: `{`,
+/// members separated by `,`, `}`, then nothing but trailing whitespace. A
+/// number must be followed by `,` or `}` (so `"a":12x` is not 12), and a key
+/// may appear once. Returns false on anything else.
+bool split_members(std::string_view line, std::vector<Member>& members) {
+  members.clear();
+  std::size_t i = 0;
+  const auto at = [&](char c) { return i < line.size() && line[i] == c; };
+  const auto quoted_text = [&](std::string_view& out) {
+    if (!at('"')) return false;
+    const std::size_t end = line.find('"', i + 1);
+    if (end == std::string_view::npos) return false;
+    out = line.substr(i + 1, end - i - 1);
+    i = end + 1;
+    return true;
+  };
+  if (!at('{')) return false;
+  ++i;
+  while (true) {
+    Member member;
+    if (!quoted_text(member.key) || !at(':')) return false;
+    ++i;
+    if (at('"')) {
+      if (!quoted_text(member.value)) return false;
+      member.quoted = true;
+    } else {
+      const std::size_t begin = i;
+      while (i < line.size() && line[i] >= '0' && line[i] <= '9') ++i;
+      if (i == begin) return false;
+      member.value = line.substr(begin, i - begin);
+    }
+    for (const Member& seen : members) {
+      if (seen.key == member.key) return false;
+    }
+    members.push_back(member);
+    if (at('}')) break;
+    if (!at(',')) return false;
+    ++i;
   }
+  ++i;
+  return line.find_first_not_of(" \t\r", i) == std::string_view::npos;
+}
+
+const Member* find_member(const std::vector<Member>& members,
+                          std::string_view key) {
+  for (const Member& member : members) {
+    if (member.key == key) return &member;
+  }
+  return nullptr;
+}
+
+/// Parses the unsigned integer member `key` into `out`, refusing any value
+/// `out` cannot hold (a value past 2^64 - 1 is refused before it can wrap).
+template <typename T>
+Field find_uint(const std::vector<Member>& members, std::string_view key,
+                T& out) {
+  const Member* member = find_member(members, key);
+  if (member == nullptr || member->quoted) return Field::kMissing;
   constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
   std::uint64_t value = 0;
-  while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
-    const auto digit = static_cast<std::uint64_t>(line[i] - '0');
+  for (const char ch : member->value) {
+    const auto digit = static_cast<std::uint64_t>(ch - '0');
     if (value > kMax / 10 || digit > kMax - value * 10) {
       return Field::kOutOfRange;
     }
     value = value * 10 + digit;
-    ++i;
   }
   out = static_cast<T>(value);
   return Field::kOk;
 }
 
-/// Same, for a quoted string value.
-bool find_string(const std::string& line, std::string_view key,
+/// Same, for a string member.
+bool find_string(const std::vector<Member>& members, std::string_view key,
                  std::string& out) {
-  const std::string needle = std::string("\"").append(key).append("\":\"");
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = line.find('"', begin);
-  if (end == std::string::npos) return false;
-  out = line.substr(begin, end - begin);
+  const Member* member = find_member(members, key);
+  if (member == nullptr || !member->quoted) return false;
+  out = std::string(member->value);
   return true;
 }
 
@@ -64,27 +115,35 @@ bool blank(const std::string& line) {
 Result<FlightDump> read_flight_jsonl(std::istream& is) {
   FlightDump dump;
   std::string line;
+  std::vector<Member> members;
   bool have_header = false;
   std::size_t line_no = 0;
   while (std::getline(is, line)) {
     ++line_no;
     if (blank(line)) continue;
+    if (!split_members(line, members)) {
+      return Result<FlightDump>::error(
+          std::string("flight dump: malformed line ")
+              .append(std::to_string(line_no))
+              .append(" (one flat JSON object per line, each key once, "
+                      "nothing after the closing brace)"));
+    }
     if (!have_header) {
       std::string type;
-      if (!find_string(line, "type", type) || type != "flight_recorder") {
+      if (!find_string(members, "type", type) || type != "flight_recorder") {
         return Result<FlightDump>::error(
             "flight dump: first line is not a flight_recorder header");
       }
-      if (find_uint(line, "version", dump.version) != Field::kOk ||
+      if (find_uint(members, "version", dump.version) != Field::kOk ||
           dump.version != 1) {
         return Result<FlightDump>::error(
             "flight dump: unsupported format version");
       }
       const Field header =
-          std::max({find_uint(line, "rings", dump.rings),
-                    find_uint(line, "capacity", dump.capacity),
-                    find_uint(line, "recorded", dump.recorded),
-                    find_uint(line, "dropped", dump.dropped)});
+          std::max({find_uint(members, "rings", dump.rings),
+                    find_uint(members, "capacity", dump.capacity),
+                    find_uint(members, "recorded", dump.recorded),
+                    find_uint(members, "dropped", dump.dropped)});
       if (header == Field::kMissing) {
         return Result<FlightDump>::error(
             "flight dump: header is missing rings/capacity/recorded/dropped");
@@ -98,13 +157,13 @@ Result<FlightDump> read_flight_jsonl(std::istream& is) {
     }
     FlightRecord record;
     std::string kind;
-    const Field fields = std::max({find_uint(line, "ring", record.ring),
-                                   find_uint(line, "req", record.event.req),
-                                   find_uint(line, "t", record.event.t),
-                                   find_uint(line, "a", record.event.a),
-                                   find_uint(line, "b", record.event.b),
-                                   find_uint(line, "c", record.event.c)});
-    if (fields == Field::kMissing || !find_string(line, "kind", kind)) {
+    const Field fields = std::max({find_uint(members, "ring", record.ring),
+                                   find_uint(members, "req", record.event.req),
+                                   find_uint(members, "t", record.event.t),
+                                   find_uint(members, "a", record.event.a),
+                                   find_uint(members, "b", record.event.b),
+                                   find_uint(members, "c", record.event.c)});
+    if (fields == Field::kMissing || !find_string(members, "kind", kind)) {
       return Result<FlightDump>::error("flight dump: malformed event at line " +
                                        std::to_string(line_no));
     }

@@ -40,8 +40,8 @@ std::int32_t row_first_set(const std::uint64_t* row, std::size_t row_words) {
   return -1;
 }
 
-// next_available_port(hint) then wrap: first set bit >= hint, else first set
-// bit anywhere (which is necessarily < hint), else -1.
+// The round-robin rule: first set bit >= hint, else first set bit anywhere
+// (which is necessarily < hint), else -1 (LinkState's kNoPort).
 std::int32_t row_first_set_from(const std::uint64_t* row,
                                 std::size_t row_words, std::uint32_t hint) {
   const std::size_t start = hint / 64;

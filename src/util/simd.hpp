@@ -86,8 +86,10 @@ struct Ops {
 
   /// Round-robin select: out[r] = lowest set bit at index >= hints[r],
   /// wrapping to the lowest set bit overall when none qualifies, or -1 when
-  /// the row is all zero — exactly LinkState::next_available_port(hint)
-  /// followed by the first_available_port wrap. hints[r] < row_words*64.
+  /// the row is all zero. This is the round-robin policy's rule — a
+  /// LinkState::next_available_port(hint) scan, then a first_available_port
+  /// wrap when that returns LinkState::kNoPort — with -1 where LinkState
+  /// returns kNoPort. hints[r] < row_words*64.
   void (*first_set_select_hint)(const std::uint64_t* rows, std::size_t n,
                                 std::size_t row_words,
                                 const std::uint32_t* hints, std::int32_t* out);

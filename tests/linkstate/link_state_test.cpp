@@ -57,9 +57,7 @@ TEST(LinkState, FirstAvailablePortIsLowestCommon) {
   // side; first common port must be 2.
   state.set_ulink(0, 2, 0, false);
   state.set_dlink(0, 9, 1, false);
-  auto port = state.first_available_port(0, 2, 9);
-  ASSERT_TRUE(port.has_value());
-  EXPECT_EQ(*port, 2u);
+  EXPECT_EQ(state.first_available_port(0, 2, 9), 2u);
 }
 
 TEST(LinkState, FirstAvailablePortNulloptWhenDisjoint) {
@@ -70,17 +68,17 @@ TEST(LinkState, FirstAvailablePortNulloptWhenDisjoint) {
   state.set_ulink(0, 2, 3, false);
   state.set_dlink(0, 9, 0, false);
   state.set_dlink(0, 9, 1, false);
-  EXPECT_FALSE(state.first_available_port(0, 2, 9).has_value());
+  EXPECT_EQ(state.first_available_port(0, 2, 9), LinkState::kNoPort);
   EXPECT_EQ(state.available_port_count(0, 2, 9), 0u);
 }
 
 TEST(LinkState, NextAvailablePortSkips) {
   const FatTree tree = make_ft34();
   LinkState state(tree);
-  EXPECT_EQ(*state.next_available_port(0, 1, 5, 2), 2u);
+  EXPECT_EQ(state.next_available_port(0, 1, 5, 2), 2u);
   state.set_ulink(0, 1, 2, false);
-  EXPECT_EQ(*state.next_available_port(0, 1, 5, 2), 3u);
-  EXPECT_FALSE(state.next_available_port(0, 1, 5, 4).has_value());
+  EXPECT_EQ(state.next_available_port(0, 1, 5, 2), 3u);
+  EXPECT_EQ(state.next_available_port(0, 1, 5, 4), LinkState::kNoPort);
 }
 
 TEST(LinkState, NthAvailablePort) {
@@ -88,10 +86,10 @@ TEST(LinkState, NthAvailablePort) {
   LinkState state(tree);
   state.set_ulink(0, 1, 1, false);
   // Common free ports: 0, 2, 3.
-  EXPECT_EQ(*state.nth_available_port(0, 1, 5, 0), 0u);
-  EXPECT_EQ(*state.nth_available_port(0, 1, 5, 1), 2u);
-  EXPECT_EQ(*state.nth_available_port(0, 1, 5, 2), 3u);
-  EXPECT_FALSE(state.nth_available_port(0, 1, 5, 3).has_value());
+  EXPECT_EQ(state.nth_available_port(0, 1, 5, 0), 0u);
+  EXPECT_EQ(state.nth_available_port(0, 1, 5, 1), 2u);
+  EXPECT_EQ(state.nth_available_port(0, 1, 5, 2), 3u);
+  EXPECT_EQ(state.nth_available_port(0, 1, 5, 3), LinkState::kNoPort);
 }
 
 TEST(LinkState, LocalViewIgnoresDestination) {
@@ -100,10 +98,10 @@ TEST(LinkState, LocalViewIgnoresDestination) {
   state.set_dlink(0, 9, 0, false);  // destination port 0 occupied
   // Local view of source 2 still sees port 0 free: that is the baseline's
   // blindness the paper exploits.
-  EXPECT_EQ(*state.first_local_ulink(0, 2), 0u);
+  EXPECT_EQ(state.first_local_ulink(0, 2), 0u);
   EXPECT_EQ(state.local_ulink_count(0, 2), 4u);
   // But the global AND skips it.
-  EXPECT_EQ(*state.first_available_port(0, 2, 9), 1u);
+  EXPECT_EQ(state.first_available_port(0, 2, 9), 1u);
 }
 
 TEST(LinkState, NthLocalUlink) {
@@ -111,9 +109,9 @@ TEST(LinkState, NthLocalUlink) {
   LinkState state(tree);
   state.set_ulink(0, 2, 0, false);
   state.set_ulink(0, 2, 2, false);
-  EXPECT_EQ(*state.nth_local_ulink(0, 2, 0), 1u);
-  EXPECT_EQ(*state.nth_local_ulink(0, 2, 1), 3u);
-  EXPECT_FALSE(state.nth_local_ulink(0, 2, 2).has_value());
+  EXPECT_EQ(state.nth_local_ulink(0, 2, 0), 1u);
+  EXPECT_EQ(state.nth_local_ulink(0, 2, 1), 3u);
+  EXPECT_EQ(state.nth_local_ulink(0, 2, 2), LinkState::kNoPort);
 }
 
 TEST(LinkState, ResetRestoresEverything) {
@@ -148,9 +146,9 @@ TEST(LinkState, WideRowsSpanMultipleWords) {
     const FatTree tree = FatTree::symmetric(2, w);
     LinkState state(tree);
     EXPECT_EQ(state.ports_per_switch(), w);
-    EXPECT_EQ(*state.first_available_port(0, 0, 1), 0u);
+    EXPECT_EQ(state.first_available_port(0, 0, 1), 0u);
     for (std::uint32_t p = 0; p + 1 < w; ++p) state.set_ulink(0, 0, p, false);
-    EXPECT_EQ(*state.first_available_port(0, 0, 1), w - 1);
+    EXPECT_EQ(state.first_available_port(0, 0, 1), w - 1);
     EXPECT_EQ(state.available_port_count(0, 0, 1), 1u);
     EXPECT_TRUE(state.audit().ok());
   }
@@ -247,17 +245,17 @@ TEST(LinkState, BalancedPortPicksFullestColumnLowestTie) {
   for (std::uint64_t sw = 0; sw < 6; ++sw) state.occupy(0, sw, sw, 0);
   // Rows 10/11 are fully free, so the AND covers all ports: the pick must
   // skip the depleted column and tie-break to the lowest max-weight port.
-  EXPECT_EQ(*state.balanced_port(0, 10, 11), 1u);
+  EXPECT_EQ(state.balanced_port(0, 10, 11), 1u);
   EXPECT_EQ(state.balanced_port_count(0, 10, 11), 3u);
-  EXPECT_EQ(*state.nth_balanced_port(0, 10, 11, 0), 1u);
-  EXPECT_EQ(*state.nth_balanced_port(0, 10, 11, 1), 2u);
-  EXPECT_EQ(*state.nth_balanced_port(0, 10, 11, 2), 3u);
-  EXPECT_FALSE(state.nth_balanced_port(0, 10, 11, 3).has_value());
+  EXPECT_EQ(state.nth_balanced_port(0, 10, 11, 0), 1u);
+  EXPECT_EQ(state.nth_balanced_port(0, 10, 11, 1), 2u);
+  EXPECT_EQ(state.nth_balanced_port(0, 10, 11, 2), 3u);
+  EXPECT_EQ(state.nth_balanced_port(0, 10, 11, 3), LinkState::kNoPort);
 
   // The round-robin variant starts the tie scan at `from` and wraps.
-  EXPECT_EQ(*state.balanced_port_from(0, 10, 11, 0), 1u);
-  EXPECT_EQ(*state.balanced_port_from(0, 10, 11, 2), 2u);
-  EXPECT_EQ(*state.balanced_port_from(0, 10, 11, 3), 3u);
+  EXPECT_EQ(state.balanced_port_from(0, 10, 11, 0), 1u);
+  EXPECT_EQ(state.balanced_port_from(0, 10, 11, 2), 2u);
+  EXPECT_EQ(state.balanced_port_from(0, 10, 11, 3), 3u);
 }
 
 TEST(LinkState, BalancedPortIsArgmaxOverAvailableOnly) {
@@ -267,18 +265,18 @@ TEST(LinkState, BalancedPortIsArgmaxOverAvailableOnly) {
   for (std::uint64_t sw = 0; sw < 6; ++sw) state.occupy(0, sw, sw, 0);
   for (std::uint64_t sw = 6; sw < 9; ++sw) state.occupy(0, sw, sw, 1);
   state.occupy(0, 9, 9, 2);
-  EXPECT_EQ(*state.balanced_port(0, 10, 11), 3u);
+  EXPECT_EQ(state.balanced_port(0, 10, 11), 3u);
   EXPECT_EQ(state.balanced_port_count(0, 10, 11), 1u);
   // Mask the heaviest column out of the AND row: the argmax re-runs over
   // what is actually available, it does not fall back to first-free.
   state.set_ulink(0, 10, 3, false);
-  EXPECT_EQ(*state.balanced_port(0, 10, 11), 2u);
+  EXPECT_EQ(state.balanced_port(0, 10, 11), 2u);
   state.set_dlink(0, 11, 2, false);
-  EXPECT_EQ(*state.balanced_port(0, 10, 11), 1u);
-  // Empty AND row → nullopt, count 0.
+  EXPECT_EQ(state.balanced_port(0, 10, 11), 1u);
+  // Empty AND row → kNoPort, count 0.
   state.set_ulink(0, 10, 0, false);
   state.set_ulink(0, 10, 1, false);
-  EXPECT_FALSE(state.balanced_port(0, 10, 11).has_value());
+  EXPECT_EQ(state.balanced_port(0, 10, 11), LinkState::kNoPort);
   EXPECT_EQ(state.balanced_port_count(0, 10, 11), 0u);
 }
 
@@ -289,12 +287,12 @@ TEST(LinkState, BalancedPickSteersAwayFromFaultedColumns) {
   const FatTree tree = make_ft34();
   LinkState state(tree);
   for (std::uint64_t sw = 0; sw < 5; ++sw) state.fail_cable(0, sw, 0);
-  EXPECT_EQ(*state.balanced_port(0, 10, 11), 1u);
+  EXPECT_EQ(state.balanced_port(0, 10, 11), 1u);
   // The faulted column is still pickable when it is all that remains.
   state.set_ulink(0, 10, 1, false);
   state.set_ulink(0, 10, 2, false);
   state.set_ulink(0, 10, 3, false);
-  EXPECT_EQ(*state.balanced_port(0, 10, 11), 0u);
+  EXPECT_EQ(state.balanced_port(0, 10, 11), 0u);
 }
 
 TEST(LinkState, BalancedLocalUlinkUsesSourceSideWeightOnly) {
@@ -309,10 +307,81 @@ TEST(LinkState, BalancedLocalUlinkUsesSourceSideWeightOnly) {
     state.set_ulink(0, sw, 0, false);
   }
   // Up-weights: col0 = 12, cols 1..3 = 16 → lowest max-weight port is 1.
-  EXPECT_EQ(*state.balanced_local_ulink(0, 10), 1u);
+  EXPECT_EQ(state.balanced_local_ulink(0, 10), 1u);
   EXPECT_EQ(state.balanced_local_ulink_count(0, 10), 3u);
-  EXPECT_EQ(*state.nth_balanced_local_ulink(0, 10, 2), 3u);
-  EXPECT_EQ(*state.balanced_local_ulink_from(0, 10, 2), 2u);
+  EXPECT_EQ(state.nth_balanced_local_ulink(0, 10, 2), 3u);
+  EXPECT_EQ(state.balanced_local_ulink_from(0, 10, 2), 2u);
+}
+
+TEST(LinkState, RowPicksReturnNoPortAndScanAcrossWordEdges) {
+  // w = 63 / 64 / 65: one partial word, one full word, and a row whose last
+  // port sits alone in a second word. Every row pick must find the single
+  // free port wherever it lies, and return kNoPort (never a port number)
+  // when nothing qualifies or the scan starts at or past w.
+  constexpr std::uint32_t kNo = LinkState::kNoPort;
+  for (const std::uint32_t w : {63u, 64u, 65u}) {
+    SCOPED_TRACE(w);
+    const FatTree tree = FatTree::symmetric(2, w);
+    LinkState state(tree);
+    EXPECT_EQ(state.next_available_port(0, 0, 1, w), kNo);
+    EXPECT_EQ(state.next_available_port(0, 0, 1, w + 70), kNo);
+    EXPECT_EQ(state.next_local_ulink(0, 0, w), kNo);
+    EXPECT_EQ(state.next_available_port(0, 0, 1, w - 1), w - 1);
+    EXPECT_EQ(state.next_local_ulink(0, 0, w - 1), w - 1);
+
+    // Source row 0 keeps only its last port: every scan start finds it.
+    for (std::uint32_t p = 0; p + 1 < w; ++p) state.set_ulink(0, 0, p, false);
+    for (std::uint32_t from = 0; from < w; ++from) {
+      ASSERT_EQ(state.next_available_port(0, 0, 1, from), w - 1) << from;
+      ASSERT_EQ(state.next_local_ulink(0, 0, from), w - 1) << from;
+    }
+    EXPECT_EQ(state.first_available_port(0, 0, 1), w - 1);
+    EXPECT_EQ(state.nth_available_port(0, 0, 1, 0), w - 1);
+    EXPECT_EQ(state.nth_available_port(0, 0, 1, 1), kNo);
+    EXPECT_EQ(state.balanced_port(0, 0, 1), w - 1);
+    EXPECT_EQ(state.balanced_port_from(0, 0, 1, 0), w - 1);
+    EXPECT_EQ(state.balanced_port_from(0, 0, 1, w - 1), w - 1);
+    EXPECT_EQ(state.nth_balanced_port(0, 0, 1, 0), w - 1);
+    EXPECT_EQ(state.nth_balanced_port(0, 0, 1, 1), kNo);
+    EXPECT_EQ(state.first_local_ulink(0, 0), w - 1);
+    EXPECT_EQ(state.nth_local_ulink(0, 0, 0), w - 1);
+    EXPECT_EQ(state.nth_local_ulink(0, 0, 1), kNo);
+    EXPECT_EQ(state.balanced_local_ulink(0, 0), w - 1);
+    EXPECT_EQ(state.balanced_local_ulink_from(0, 0, 1), w - 1);
+    EXPECT_EQ(state.nth_balanced_local_ulink(0, 0, 0), w - 1);
+    EXPECT_EQ(state.nth_balanced_local_ulink(0, 0, 1), kNo);
+
+    // Source row 2 keeps only port 0: no scan wraps back to it.
+    for (std::uint32_t p = 1; p < w; ++p) state.set_ulink(0, 2, p, false);
+    EXPECT_EQ(state.next_available_port(0, 2, 1, 0), 0u);
+    EXPECT_EQ(state.next_available_port(0, 2, 1, 1), kNo);
+    EXPECT_EQ(state.next_local_ulink(0, 2, 1), kNo);
+
+    // Empty AND row: the destination's last down-channel goes too. The
+    // source-only picks still see the port.
+    state.set_dlink(0, 1, w - 1, false);
+    EXPECT_EQ(state.first_available_port(0, 0, 1), kNo);
+    EXPECT_EQ(state.next_available_port(0, 0, 1, 0), kNo);
+    EXPECT_EQ(state.nth_available_port(0, 0, 1, 0), kNo);
+    EXPECT_EQ(state.balanced_port(0, 0, 1), kNo);
+    EXPECT_EQ(state.balanced_port_from(0, 0, 1, 0), kNo);
+    EXPECT_EQ(state.nth_balanced_port(0, 0, 1, 0), kNo);
+    EXPECT_EQ(state.available_port_count(0, 0, 1), 0u);
+    EXPECT_EQ(state.balanced_port_count(0, 0, 1), 0u);
+    EXPECT_EQ(state.first_local_ulink(0, 0), w - 1);
+
+    // Empty source row: the local picks run dry as well.
+    state.set_ulink(0, 0, w - 1, false);
+    EXPECT_EQ(state.first_local_ulink(0, 0), kNo);
+    EXPECT_EQ(state.next_local_ulink(0, 0, 0), kNo);
+    EXPECT_EQ(state.nth_local_ulink(0, 0, 0), kNo);
+    EXPECT_EQ(state.balanced_local_ulink(0, 0), kNo);
+    EXPECT_EQ(state.balanced_local_ulink_from(0, 0, 0), kNo);
+    EXPECT_EQ(state.nth_balanced_local_ulink(0, 0, 0), kNo);
+    EXPECT_EQ(state.local_ulink_count(0, 0), 0u);
+    EXPECT_EQ(state.balanced_local_ulink_count(0, 0), 0u);
+    EXPECT_TRUE(state.audit().ok());
+  }
 }
 
 TEST(LinkStateDeath, DoubleOccupyRejected) {

@@ -232,6 +232,58 @@ TEST(FlightDump, DecoderRejectsOutOfRangeIntegers) {
                    .ok());
 }
 
+TEST(FlightDump, DecoderRejectsTrailingGarbageAndDuplicateKeys) {
+  // Each line is one flat object: a number ends at `,` or `}`, a key
+  // appears once, and nothing but whitespace follows the closing brace.
+  const auto parse = [](std::string text) {
+    std::istringstream is(std::move(text));
+    return read_flight_jsonl(is);
+  };
+  const std::string header =
+      "{\"type\":\"flight_recorder\",\"version\":1,\"rings\":1,"
+      "\"capacity\":4,\"recorded\":1,\"dropped\":0}";
+  const std::string event =
+      "{\"ring\":0,\"req\":1,\"t\":0,\"kind\":\"CLOSED\",\"a\":12,"
+      "\"b\":0,\"c\":0}";
+  const auto ok = parse(header + "\n" + event + "\r\n");
+  ASSERT_TRUE(ok.ok()) << ok.message();
+  EXPECT_EQ(ok.value().records[0].event.a, 12u);
+
+  const auto rejects = [&](const std::string& text) {
+    const auto dump = parse(text);
+    EXPECT_FALSE(dump.ok()) << text;
+    return dump.ok() ? std::string() : dump.message();
+  };
+  // Digits running into other characters.
+  const std::string digits_12x =
+      "{\"ring\":0,\"req\":1,\"t\":0,\"kind\":\"CLOSED\",\"a\":12x,"
+      "\"b\":0,\"c\":0}";
+  EXPECT_NE(rejects(header + "\n" + digits_12x + "\n").find("line 2"),
+            std::string::npos);
+  rejects(header + "\n{\"ring\":0,\"req\":1,\"t\":0,\"kind\":\"CLOSED\","
+                   "\"a\":0,\"b\":0,\"c\":7 }\n");
+  rejects(header + "\n{\"ring\":0,\"req\":1,\"t\":0,\"kind\":\"CLOSED\","
+                   "\"a\":-1,\"b\":0,\"c\":0}\n");
+  rejects("{\"type\":\"flight_recorder\",\"version\":1x,\"rings\":1,"
+          "\"capacity\":4,\"recorded\":1,\"dropped\":0}\n");
+  // Text after the closing brace, on an event line and on the header.
+  rejects(header + "\n" + event + "garbage\n");
+  rejects(header + "\n" + event + "}\n");
+  rejects(header + "\n" + event + event + "\n");
+  rejects(header + "{}\n" + event + "\n");
+  // A key given twice, in an event and in the header.
+  rejects(header + "\n{\"ring\":0,\"req\":1,\"t\":0,\"kind\":\"CLOSED\","
+                   "\"a\":0,\"b\":0,\"c\":0,\"a\":255}\n");
+  rejects(header + "\n{\"ring\":0,\"req\":1,\"t\":0,\"kind\":\"CLOSED\","
+                   "\"kind\":\"REVOKED\",\"a\":0,\"b\":0,\"c\":0}\n");
+  rejects("{\"type\":\"flight_recorder\",\"version\":1,\"rings\":1,"
+          "\"rings\":2,\"capacity\":4,\"recorded\":1,\"dropped\":0}\n");
+  // Broken structure: no braces, an unterminated string, a missing value.
+  rejects(header + "\n\"ring\":0\n");
+  rejects(header + "\n{\"ring\":0,\"kind\":\"CLOSED}\n");
+  rejects(header + "\n{\"ring\":,\"req\":1}\n");
+}
+
 TEST(FlightStitch, SortsByRequestAndKeepsPerRequestOrder) {
   // Two circuits whose events interleave across two rings; stitching must
   // group by ascending request id while preserving each request's order.

@@ -47,9 +47,11 @@
 // schema (points carry "fault_rate") gates each (point, rate) on the
 // schedulability / open_ratio / ever_granted means and the recovery success
 // ratio. google-benchmark JSON ({"benchmarks":[...]}) gates on
-// `items_per_second` when present, else `real_time`. A benchmark present in
-// the baseline but missing from the candidate is a failure; new candidate
-// entries are reported but pass.
+// `items_per_second` when present, else `real_time`; a benchmark run with
+// --benchmark_repetitions gates on its `median` aggregate row only (its
+// `mean`, `stddev` and `cv` rows and single runs are not gated). A
+// benchmark present in the baseline but missing from the candidate is a
+// failure; new candidate entries are reported but pass.
 //
 // Profile gate: when the baseline is a profile JSONL artifact (auto-detected
 // off its header line), or under --perf when both documents embed "profile"
@@ -799,8 +801,25 @@ bool compare_degradation(const JsonValue& base, const JsonValue& cand,
   return true;
 }
 
+/// The string member `key` of a google-benchmark row, or "" when absent.
+std::string_view gbench_field(const JsonValue& row, std::string_view key) {
+  const JsonValue* v = row.find(key);
+  return v && v->type == JsonValue::Type::kString ? std::string_view(v->str)
+                                                  : std::string_view();
+}
+
+/// The benchmark a row belongs to: `run_name` (shared by a benchmark's
+/// single runs and its aggregate rows), else the row name.
+std::string_view gbench_run(const JsonValue& row) {
+  const std::string_view run = gbench_field(row, "run_name");
+  return run.empty() ? gbench_field(row, "name") : run;
+}
+
 /// google-benchmark schema: gate on items_per_second when both sides have
-/// it, otherwise real_time.
+/// it, otherwise real_time. With --benchmark_repetitions a benchmark also
+/// gets aggregate rows (run_type "aggregate": mean, median, stddev, cv).
+/// Only the median is compared then: stddev and cv measure spread, not
+/// throughput, and the single runs are what the median summarises.
 bool compare_gbench(const JsonValue& base, const JsonValue& cand,
                     std::vector<Comparison>& out) {
   const JsonValue* base_benches = base.find("benchmarks");
@@ -810,11 +829,21 @@ bool compare_gbench(const JsonValue& base, const JsonValue& cand,
     std::cerr << "ftreport: google-benchmark schema: missing \"benchmarks\"\n";
     return false;
   }
+  std::vector<std::string_view> aggregated;
+  for (const JsonValue& bb : base_benches->array) {
+    if (gbench_field(bb, "run_type") == "aggregate") {
+      aggregated.push_back(gbench_run(bb));
+    }
+  }
   for (const JsonValue& bb : base_benches->array) {
     const JsonValue* bname = bb.find("name");
     if (!bname || bname->type != JsonValue::Type::kString) continue;
-    // Aggregate rows (mean/median/stddev repetitions) carry run_type
-    // "aggregate"; plain runs compare directly.
+    if (std::find(aggregated.begin(), aggregated.end(), gbench_run(bb)) !=
+            aggregated.end() &&
+        (gbench_field(bb, "run_type") != "aggregate" ||
+         gbench_field(bb, "aggregate_name") != "median")) {
+      continue;
+    }
     const JsonValue* cb = nullptr;
     for (const JsonValue& candidate_bench : cand_benches->array) {
       const JsonValue* cname = candidate_bench.find("name");
