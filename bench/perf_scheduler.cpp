@@ -10,10 +10,6 @@
 //                             and splice a "profile" block into the JSON
 //                             artifact (the input of ftreport --perf).
 //   --profile-backend=timer   force the wall-clock fallback backend.
-//   --simd=LEVEL              pin the dispatch level (scalar|avx2|avx512|
-//                             auto) for every benchmark in the run; the
-//                             resolved level is printed so CI harnesses can
-//                             tell a genuine AVX2 run from a clamped one.
 // The profiled replay is separate from the timed gbench loops, so
 // attribution overhead never pollutes the throughput numbers.
 #include <benchmark/benchmark.h>
@@ -31,7 +27,6 @@
 #include "fig9_common.hpp"
 #include "hw/pipeline.hpp"
 #include "stats/runner.hpp"
-#include "util/simd.hpp"
 #include "workload/patterns.hpp"
 
 namespace ftsched {
@@ -159,72 +154,6 @@ void BM_FirstAvailablePort(benchmark::State& state) {
 }
 BENCHMARK(BM_FirstAvailablePort);
 
-// Per-dispatch-level grid points for the simd kernels themselves: the same
-// AND + first-set-select volume a levelwise batch sweep issues (4096
-// single-word rows, half-occupied), once per dispatch level. Levels the host
-// CPU lacks are skipped, not silently clamped.
-void BM_SimdAndSelect(benchmark::State& state) {
-  const auto want = static_cast<simd::Level>(state.range(0));
-  if (static_cast<int>(simd::detect()) < static_cast<int>(want)) {
-    state.SkipWithError("CPU lacks this dispatch level");
-    return;
-  }
-  const simd::Ops& kernels = simd::ops_for(want);
-  constexpr std::size_t kRows = 4096;
-  std::vector<std::uint64_t> a(kRows);
-  std::vector<std::uint64_t> b(kRows);
-  std::vector<std::uint64_t> anded(kRows);
-  std::vector<std::int32_t> pick(kRows);
-  Xoshiro256ss rng(11);
-  for (std::size_t r = 0; r < kRows; ++r) {
-    a[r] = rng() | rng();  // ~75% dense: realistic early-batch rows
-    b[r] = rng() | rng();
-  }
-  for (auto _ : state) {
-    kernels.and_rows(a.data(), b.data(), anded.data(), kRows);
-    kernels.first_set_select(anded.data(), kRows, 1, pick.data());
-    benchmark::DoNotOptimize(pick.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kRows));
-  state.SetLabel(std::string(simd::to_string(kernels.level)));
-}
-BENCHMARK(BM_SimdAndSelect)
-    ->Arg(static_cast<int>(ftsched::simd::Level::kScalar))
-    ->Arg(static_cast<int>(ftsched::simd::Level::kAvx2))
-    ->Arg(static_cast<int>(ftsched::simd::Level::kAvx512));
-
-// Same kernel workload at the ACTIVE dispatch level (whatever --simd=
-// resolved to). Unlike BM_SimdAndSelect/<n> the name carries no level
-// suffix, so two runs of the binary — one at --simd=scalar, one at
-// --simd=auto — produce rows ftreport can pair by name. CI feeds exactly
-// that pair into the --min-ratio speedup floor: the vector kernels must
-// beat the scalar fallback by >=1.5x on any host that reports AVX2.
-void BM_SimdKernels(benchmark::State& state) {
-  const simd::Ops& kernels = simd::ops();
-  constexpr std::size_t kRows = 4096;
-  std::vector<std::uint64_t> a(kRows);
-  std::vector<std::uint64_t> b(kRows);
-  std::vector<std::uint64_t> anded(kRows);
-  std::vector<std::int32_t> pick(kRows);
-  Xoshiro256ss rng(11);
-  for (std::size_t r = 0; r < kRows; ++r) {
-    a[r] = rng() | rng();
-    b[r] = rng() | rng();
-  }
-  for (auto _ : state) {
-    kernels.and_rows(a.data(), b.data(), anded.data(), kRows);
-    kernels.first_set_select(anded.data(), kRows, 1, pick.data());
-    benchmark::DoNotOptimize(pick.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kRows));
-  state.SetLabel(std::string(simd::to_string(kernels.level)));
-}
-BENCHMARK(BM_SimdKernels);
-
 // --profile replay: the same workload derivation as schedule_benchmark
 // (seed-42 permutation, reset link state per batch) with a ProfileSession
 // attached, so the attribution describes exactly the code the timed loops
@@ -345,17 +274,6 @@ int main(int argc, char** argv) {
       request = ftsched::obs::PerfCounters::Request::kTimer;
     } else if (arg == "--profile-backend=auto") {
       request = ftsched::obs::PerfCounters::Request::kAuto;
-    } else if (arg.rfind("--simd=", 0) == 0) {
-      const std::string level = arg.substr(7);
-      if (level == "auto") {
-        ftsched::simd::use_auto();
-      } else if (const auto parsed = ftsched::simd::parse_level(level)) {
-        ftsched::simd::force(*parsed);
-      } else {
-        std::cerr << "unknown --simd '" << level
-                  << "' (scalar|avx2|avx512|auto)\n";
-        return 2;
-      }
     } else {
       if (arg.rfind("--benchmark_out=", 0) == 0) {
         has_out = true;
@@ -372,9 +290,6 @@ int main(int argc, char** argv) {
     args.push_back(out_flag.data());
     args.push_back(fmt_flag.data());
   }
-  // Resolved (possibly clamped) level, printed for CI skip detection.
-  std::cout << "simd: " << ftsched::simd::to_string(ftsched::simd::active())
-            << "\n";
   int args_count = static_cast<int>(args.size());
   benchmark::Initialize(&args_count, args.data());
   if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {

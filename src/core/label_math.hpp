@@ -52,17 +52,14 @@ inline std::uint32_t meet_level(std::uint64_t leaf_a, std::uint64_t leaf_b,
 /// twice per request per level, and admission divides each PE id by m for
 /// its leaf switch; the compiler cannot strength-reduce a runtime divisor,
 /// so on power-of-two grids (every symmetric w = 8/16/64 configuration) each
-/// `div r64` here becomes a shift.
+/// `div r64` here becomes a shift. m >= 2, as FatTree requires: with m = 1
+/// no label ever truncates, so two distinct labels would never meet.
 class ChildDivider {
  public:
-  explicit ChildDivider(std::uint64_t m)
-      : m_(m),
-        shift_((m & (m - 1)) == 0
-                   ? static_cast<std::uint32_t>(bits::find_first_word(m))
-                   : 0),
-        pow2_((m & (m - 1)) == 0) {
-    FT_REQUIRE(m >= 1);
-    if (shift_ != 0) {
+  explicit ChildDivider(std::uint64_t m) : m_(m) {
+    FT_REQUIRE(m >= 2);
+    if ((m & (m - 1)) == 0) {
+      shift_ = static_cast<std::uint32_t>(bits::find_first_word(m));
       for (std::uint32_t width = 0; width < meet_by_width_.size(); ++width) {
         meet_by_width_[width] =
             static_cast<std::uint8_t>((width + shift_ - 1) / shift_);
@@ -71,13 +68,12 @@ class ChildDivider {
   }
 
   std::uint64_t divisor() const { return m_; }
-  bool is_pow2() const { return pow2_; }
 
   std::uint64_t operator()(std::uint64_t x) const {
-    return pow2_ ? x >> shift_ : x / m_;
+    return shift_ != 0 ? x >> shift_ : x / m_;
   }
 
-  /// meet_level with the same strength reduction: for power-of-two m > 1
+  /// meet_level with the same strength reduction: for power-of-two m
   /// the truncation count is how many shift_-wide digit groups the XOR of
   /// the labels spans, ⌈bit_width / shift_⌉ — read from a table filled at
   /// construction, so no loop and no divide.
@@ -90,9 +86,8 @@ class ChildDivider {
 
  private:
   std::uint64_t m_;
-  std::uint32_t shift_;
-  bool pow2_;
-  /// ⌈width / shift_⌉ for every XOR bit width 0…64 (pow2 m > 1 only).
+  std::uint32_t shift_ = 0;  ///< log2(m) for power-of-two m, else 0
+  /// ⌈width / shift_⌉ for every XOR bit width 0…64 (power-of-two m only).
   std::array<std::uint8_t, 65> meet_by_width_{};
 };
 

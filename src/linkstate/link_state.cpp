@@ -189,6 +189,8 @@ std::uint32_t LinkState::nth_available_port(
     std::uint32_t level, std::uint64_t src_sw, std::uint64_t dst_sw,
     std::uint32_t index) const {
   FT_REQUIRE(level < link_levels_);
+  FT_REQUIRE(src_sw < rows_[level]);
+  FT_REQUIRE(dst_sw < rows_[level]);
   const std::uint64_t* su = &u_[level][src_sw * row_words_];
   const std::uint64_t* dd = &d_[level][dst_sw * row_words_];
   for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
@@ -308,6 +310,8 @@ std::uint32_t LinkState::nth_balanced_port(
     std::uint32_t level, std::uint64_t src_sw, std::uint64_t dst_sw,
     std::uint32_t index) const {
   FT_REQUIRE(level < link_levels_);
+  FT_REQUIRE(src_sw < rows_[level]);
+  FT_REQUIRE(dst_sw < rows_[level]);
   const std::uint64_t* su = &u_[level][src_sw * row_words_];
   const std::uint64_t* dd = &d_[level][dst_sw * row_words_];
   const std::uint64_t* cu = &col_free_u_[std::uint64_t{level} * w_];
@@ -428,6 +432,7 @@ std::uint32_t LinkState::balanced_local_ulink_count(std::uint32_t level,
 std::uint32_t LinkState::nth_balanced_local_ulink(
     std::uint32_t level, std::uint64_t src_sw, std::uint32_t index) const {
   FT_REQUIRE(level < link_levels_);
+  FT_REQUIRE(src_sw < rows_[level]);
   const std::uint64_t* su = &u_[level][src_sw * row_words_];
   const std::uint64_t* cu = &col_free_u_[std::uint64_t{level} * w_];
   bool any = false;
@@ -475,6 +480,7 @@ std::uint32_t LinkState::local_ulink_count(std::uint32_t level,
 std::uint32_t LinkState::nth_local_ulink(
     std::uint32_t level, std::uint64_t src_sw, std::uint32_t index) const {
   FT_REQUIRE(level < link_levels_);
+  FT_REQUIRE(src_sw < rows_[level]);
   const std::uint64_t* su = &u_[level][src_sw * row_words_];
   for (std::uint64_t wd = 0; wd < row_words_; ++wd) {
     std::uint64_t word = su[wd];

@@ -31,11 +31,8 @@ struct EnvInfo {
 const EnvInfo& collect_env();
 
 /// Writes one JSON object: {"cpu":"...","cores":N,"compiler":"...",
-/// "build":"...","governor":"...","simd":"..."} — the `env` header the
-/// bench JSON schema and the profile JSONL v1 header embed. The `simd`
-/// field is the active dispatch level at write time (scalar/avx2/avx512),
-/// so time-domain comparisons across artifacts produced at different
-/// forced levels warn just like a compiler or governor mismatch would.
+/// "build":"...","governor":"..."} — the `env` header the bench JSON
+/// schema and the profile JSONL v1 header embed.
 void write_env_json(std::ostream& os, const EnvInfo& env);
 
 }  // namespace ftsched::obs

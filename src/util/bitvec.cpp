@@ -1,7 +1,5 @@
 #include "util/bitvec.hpp"
 
-#include "util/simd.hpp"
-
 namespace ftsched {
 
 std::size_t BitVec::count() const {
@@ -40,29 +38,6 @@ std::optional<std::size_t> BitVec::find_next(std::size_t from) const {
     if (++wi >= words_.size()) return std::nullopt;
     word = words_[wi];
   }
-}
-
-void BitVec::and_into(const BitVec& a, const BitVec& b) {
-  FT_REQUIRE(a.size_ == b.size_);
-  size_ = a.size_;
-  words_.resize(a.words_.size());
-  if (!words_.empty()) {
-    simd::ops().and_rows(a.words_.data(), b.words_.data(), words_.data(),
-                         words_.size());
-  }
-  // Both inputs are trimmed, so the AND's slack bits are already zero.
-}
-
-std::optional<std::size_t> BitVec::find_first_and(const BitVec& a,
-                                                  const BitVec& b) {
-  FT_REQUIRE(a.size_ == b.size_);
-  for (std::size_t wi = 0; wi < a.words_.size(); ++wi) {
-    const std::uint64_t word = a.words_[wi] & b.words_[wi];
-    if (word != 0) {
-      return wi * kWordBits + bits::find_first_word(word);
-    }
-  }
-  return std::nullopt;
 }
 
 BitVec& BitVec::operator&=(const BitVec& other) {

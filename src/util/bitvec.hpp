@@ -3,7 +3,7 @@
 // The scheduler's inner loop is: AND the w-bit Ulink row of the source-side
 // switch with the w-bit Dlink row of the destination-side switch and select
 // the first set bit (paper Fig. 7, line 3-5). BitVec therefore provides
-// word-wise AND into a destination, find-first-set, and popcount, all over a
+// word-wise AND, find-first-set, and popcount, all over a
 // flat uint64_t buffer (Core Guidelines Per.16/19: compact, predictable).
 #pragma once
 
@@ -75,18 +75,6 @@ class BitVec {
 
   /// Index of the lowest set bit at position >= from, or nullopt.
   std::optional<std::size_t> find_next(std::size_t from) const;
-
-  /// this = a & b, word-wise through the simd dispatch shim — the bulk form
-  /// for callers that re-evaluate an AND every round and want neither the
-  /// temporary of operator& nor the load-modify of operator&=. Sizes of `a`
-  /// and `b` must match; this vector is resized to fit.
-  void and_into(const BitVec& a, const BitVec& b);
-
-  /// Index of the lowest set bit of (a & b) without materializing the AND;
-  /// nullopt when the intersection is empty. Sizes must match. This is the
-  /// scheduler's AND+first-fit probe as one scan with early exit.
-  static std::optional<std::size_t> find_first_and(const BitVec& a,
-                                                   const BitVec& b);
 
   /// In-place AND with `other`. Sizes must match.
   BitVec& operator&=(const BitVec& other);

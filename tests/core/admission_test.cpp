@@ -75,7 +75,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ChildDivider, DividesLikeTheRuntimeDivisor) {
   Xoshiro256ss rng(0xd1d1);
-  for (const std::uint64_t m : {1u, 2u, 3u, 4u, 8u, 16u, 64u}) {
+  for (const std::uint64_t m : {2u, 3u, 4u, 8u, 16u, 64u}) {
     const ChildDivider divm(m);
     EXPECT_EQ(divm.divisor(), m);
     for (int i = 0; i < 1000; ++i) {
@@ -114,15 +114,18 @@ TEST(ChildDivider, MeetMatchesMeetLevel) {
   }
 }
 
-TEST(ChildDivider, MeetWithUnitArityOnlyOnEqualLabels) {
-  // m = 1 never truncates a label, so two distinct labels never meet (and
-  // meet_level would not return); equal labels meet at level 0.
-  const ChildDivider divm(1);
-  Xoshiro256ss rng(0x1);
-  for (int i = 0; i < 100; ++i) {
-    const std::uint64_t a = rng();
-    ASSERT_EQ(divm.meet(a, a), meet_level(a, a, 1));
-    ASSERT_EQ(divm.meet(a, a), 0u);
+TEST(ChildDividerDeathTest, UnitArityAborts) {
+  // m = 1 never truncates a label, so meet() on two distinct labels would
+  // never return; the divider refuses it up front, as FatTree does. m = 0
+  // would divide by zero.
+  for (const std::uint64_t m : {0u, 1u}) {
+    EXPECT_DEATH(
+        {
+          const ChildDivider divm(m);
+          static_cast<void>(divm(m));
+        },
+        "precondition")
+        << "m=" << m;
   }
 }
 

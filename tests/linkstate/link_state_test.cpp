@@ -397,5 +397,20 @@ TEST(LinkStateDeath, ReleaseFreeChannelRejected) {
   EXPECT_DEATH(state.release(0, 0, 1, 0), "precondition");
 }
 
+// The index-driven picks the random policies use bound-check the switch
+// rows like their first/next/balanced siblings, instead of reading past
+// the row matrix.
+TEST(LinkStateDeath, NthPicksRejectOutOfRangeSwitch) {
+  const FatTree tree = make_ft34();
+  LinkState state(tree);
+  const std::uint64_t past = state.rows_at(0);
+  EXPECT_DEATH(state.nth_available_port(0, past, 0, 0), "precondition");
+  EXPECT_DEATH(state.nth_available_port(0, 0, past, 0), "precondition");
+  EXPECT_DEATH(state.nth_balanced_port(0, past, 0, 0), "precondition");
+  EXPECT_DEATH(state.nth_balanced_port(0, 0, past, 0), "precondition");
+  EXPECT_DEATH(state.nth_balanced_local_ulink(0, past, 0), "precondition");
+  EXPECT_DEATH(state.nth_local_ulink(0, past, 0), "precondition");
+}
+
 }  // namespace
 }  // namespace ftsched

@@ -419,15 +419,13 @@ void rule_raw_timing(const SourceFile& src, std::vector<Finding>& out) {
   }
 }
 
-// --- SIMD authority ---------------------------------------------------------
+// --- No hand-written vector paths -------------------------------------------
 
-/// All vector code lives behind the runtime-dispatch shim (util/simd.hpp):
-/// every kernel exists at every dispatch level with the scalar table as the
-/// tested reference, so a raw intrinsic anywhere else is by definition a
-/// second, untested vector path. src/util (the shim's own implementation) is
-/// the only place allowed to know how the kernels are vectorized.
+/// The tree has no vector code: the row AND and select are scalar word
+/// loops in LinkState. A raw intrinsic anywhere is a second, untested path;
+/// bringing one back takes a measured change that also lifts this rule
+/// (docs/PERFORMANCE.md §4).
 void rule_raw_intrinsics(const SourceFile& src, std::vector<Finding>& out) {
-  if (src.module == "src/util") return;
   constexpr std::array<std::string_view, 9> kIntrinsicHeaders = {
       "immintrin.h", "x86intrin.h", "emmintrin.h",
       "xmmintrin.h", "smmintrin.h", "tmmintrin.h",
@@ -438,8 +436,8 @@ void rule_raw_intrinsics(const SourceFile& src, std::vector<Finding>& out) {
                                  inc.target) != kIntrinsicHeaders.end()) {
       add(out, src, inc.line, "no-raw-intrinsics",
           "<" + inc.target +
-              "> outside src/util opens a second, untested vector path; call "
-              "the dispatch shim (util/simd.hpp) instead");
+              "> opens a second, untested vector path; the scalar word "
+              "loops in LinkState are the only row kernels");
     }
   }
   constexpr std::array<std::string_view, 9> kVectorTypes = {
@@ -457,9 +455,8 @@ void rule_raw_intrinsics(const SourceFile& src, std::vector<Finding>& out) {
     if (!vector_type && !intrinsic_call) continue;
     add(out, src, tok.line, "no-raw-intrinsics",
         "raw SIMD '" + t +
-            "' outside src/util; vector kernels live behind util/simd.hpp "
-            "so every dispatch level stays tested against the scalar "
-            "reference");
+            "' opens a second, untested vector path; the scalar word loops "
+            "in LinkState are the only row kernels");
   }
 }
 
@@ -572,8 +569,8 @@ const std::vector<RuleInfo>& rule_catalog() {
        "counter syscalls live only in src/obs and src/des"},
       {"no-raw-intrinsics",
        "vector intrinsics (<immintrin.h>, __m256i, _mm*/_mm256_*/_mm512_*, "
-       "__builtin_ia32_*) live only in src/util behind the simd dispatch "
-       "shim"},
+       "__builtin_ia32_*) appear nowhere; the row kernels are scalar word "
+       "loops"},
   };
   return kCatalog;
 }

@@ -1,4 +1,4 @@
-// Fixture: raw vector intrinsics outside src/util must trip
+// Fixture: raw vector intrinsics anywhere in the tree must trip
 // no-raw-intrinsics — the include, the vector type, and the intrinsic call
 // each on their own. (This file is never compiled; it only feeds ftlint.)
 #include <immintrin.h>

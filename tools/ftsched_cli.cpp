@@ -113,7 +113,6 @@
 #include "stats/runner.hpp"
 #include "topology/dot.hpp"
 #include "topology/validate.hpp"
-#include "util/simd.hpp"
 #include "util/table.hpp"
 
 using namespace ftsched;
@@ -136,7 +135,7 @@ const std::map<std::string, TrafficPattern>& pattern_names() {
 
 int usage() {
   std::cerr << "usage: ftsched <info|dot|schedule|degrade|sweep|soak|hw|"
-               "schedulers|patterns|simd> ...\n"
+               "schedulers|patterns> ...\n"
                "  info <levels> <m> [w]\n"
                "  dot <levels> <m> [w]\n"
                "  schedule <levels> <m[:w]> <scheduler> <pattern> <reps>"
@@ -156,11 +155,7 @@ int usage() {
                "       [--retry-policy=SPEC] [--soak-out=FILE] [--no-shrink]\n"
                "       [--json=FILE] [--flight-dump=FILE] [--port-policy=P]\n"
                "  soak --replay=FILE   re-run a chaos reproducer script\n"
-               "  hw <levels> <w>\n"
-               "  simd                 print detected/active dispatch level\n"
-               "global: [--simd=scalar|avx2|avx512|auto] pin the SIMD\n"
-               "        dispatch level (results are bit-identical; only\n"
-               "        speed moves)\n";
+               "  hw <levels> <w>\n";
   return 2;
 }
 
@@ -968,17 +963,6 @@ int main(int argc, char** argv) {
       flags.flight_dump = arg.substr(14);
     } else if (arg.rfind("--horizon=", 0) == 0) {
       flags.horizon = static_cast<SimTime>(std::atoll(arg.c_str() + 10));
-    } else if (arg.rfind("--simd=", 0) == 0) {
-      const std::string level = arg.substr(7);
-      if (level == "auto") {
-        simd::use_auto();
-      } else if (const auto parsed = simd::parse_level(level)) {
-        simd::force(*parsed);
-      } else {
-        std::cerr << "unknown --simd '" << level
-                  << "' (scalar|avx2|avx512|auto)\n";
-        return 2;
-      }
     } else {
       argv[kept++] = argv[i];
     }
@@ -1001,14 +985,6 @@ int main(int argc, char** argv) {
   }
   if (command == "patterns") {
     for (const auto& [name, _] : pattern_names()) std::cout << name << "\n";
-    return 0;
-  }
-  if (command == "simd") {
-    // Machine-readable dispatch report: CI's equivalence job greps
-    // "detected:" to decide whether an avx2-vs-scalar diff is meaningful on
-    // this host or must be skipped with a notice.
-    std::cout << "detected: " << simd::to_string(simd::detect()) << "\n"
-              << "active: " << simd::to_string(simd::active()) << "\n";
     return 0;
   }
   return usage();
