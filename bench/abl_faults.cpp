@@ -22,6 +22,7 @@
 #include "linkstate/faults.hpp"
 #include "linkstate/imbalance.hpp"
 #include "obs/env.hpp"
+#include "obs/json.hpp"
 #include "stats/summary.hpp"
 #include "util/table.hpp"
 #include "workload/patterns.hpp"

@@ -21,6 +21,7 @@
 
 #include "exec/thread_pool.hpp"
 #include "obs/env.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/stopwatch.hpp"

@@ -44,6 +44,7 @@
 #include "fault/degradation.hpp"
 #include "fig9_common.hpp"
 #include "obs/env.hpp"
+#include "obs/json.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stopwatch.hpp"

@@ -8,6 +8,8 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/json.hpp"
+
 namespace ftsched::obs {
 
 namespace {
@@ -16,98 +18,23 @@ namespace {
 /// several reads is their std::max.
 enum class Field : std::uint8_t { kOk, kOutOfRange, kMissing };
 
-/// One `"key":value` member of a dump line. `value` is the digits of an
-/// integer, or the characters between the quotes of a string.
-struct Member {
-  std::string_view key;
-  std::string_view value;
-  bool quoted = false;
-};
-
-/// Splits one dump line into its members. The writer emits one flat JSON
-/// object per line — no spaces, no nesting, no escapes, unsigned integers
-/// and plain strings only — and this accepts exactly that shape: `{`,
-/// members separated by `,`, `}`, then nothing but trailing whitespace. A
-/// number must be followed by `,` or `}` (so `"a":12x` is not 12), and a key
-/// may appear once. Returns false on anything else.
-bool split_members(std::string_view line, std::vector<Member>& members) {
-  members.clear();
-  std::size_t i = 0;
-  const auto at = [&](char c) { return i < line.size() && line[i] == c; };
-  const auto quoted_text = [&](std::string_view& out) {
-    if (!at('"')) return false;
-    const std::size_t end = line.find('"', i + 1);
-    if (end == std::string_view::npos) return false;
-    out = line.substr(i + 1, end - i - 1);
-    i = end + 1;
-    return true;
-  };
-  if (!at('{')) return false;
-  ++i;
-  while (true) {
-    Member member;
-    if (!quoted_text(member.key) || !at(':')) return false;
-    ++i;
-    if (at('"')) {
-      if (!quoted_text(member.value)) return false;
-      member.quoted = true;
-    } else {
-      const std::size_t begin = i;
-      while (i < line.size() && line[i] >= '0' && line[i] <= '9') ++i;
-      if (i == begin) return false;
-      member.value = line.substr(begin, i - begin);
-    }
-    for (const Member& seen : members) {
-      if (seen.key == member.key) return false;
-    }
-    members.push_back(member);
-    if (at('}')) break;
-    if (!at(',')) return false;
-    ++i;
-  }
-  ++i;
-  return line.find_first_not_of(" \t\r", i) == std::string_view::npos;
-}
-
-const Member* find_member(const std::vector<Member>& members,
-                          std::string_view key) {
-  for (const Member& member : members) {
-    if (member.key == key) return &member;
-  }
-  return nullptr;
-}
-
-/// Parses the unsigned integer member `key` into `out`, refusing any value
-/// `out` cannot hold (a value past 2^64 - 1 is refused before it can wrap).
+/// Reads the unsigned integer member `key` into `out`, refusing any value
+/// `out` cannot hold.
 template <typename T>
-Field find_uint(const std::vector<Member>& members, std::string_view key,
-                T& out) {
-  const Member* member = find_member(members, key);
-  if (member == nullptr || member->quoted) return Field::kMissing;
-  constexpr std::uint64_t kMax = std::numeric_limits<T>::max();
-  std::uint64_t value = 0;
-  for (const char ch : member->value) {
-    const auto digit = static_cast<std::uint64_t>(ch - '0');
-    if (value > kMax / 10 || digit > kMax - value * 10) {
-      return Field::kOutOfRange;
-    }
-    value = value * 10 + digit;
-  }
-  out = static_cast<T>(value);
+Field find_uint(const JsonValue& line, std::string_view key, T& out) {
+  const JsonValue* member = line.find(key);
+  if (member == nullptr || !member->is_uint) return Field::kMissing;
+  if (member->uint > std::numeric_limits<T>::max()) return Field::kOutOfRange;
+  out = static_cast<T>(member->uint);
   return Field::kOk;
 }
 
-/// Same, for a string member.
-bool find_string(const std::vector<Member>& members, std::string_view key,
-                 std::string& out) {
-  const Member* member = find_member(members, key);
-  if (member == nullptr || !member->quoted) return false;
-  out = std::string(member->value);
-  return true;
-}
-
-bool blank(const std::string& line) {
-  return line.find_first_not_of(" \t\r\n") == std::string::npos;
+/// The string member `key`, or null.
+const std::string* find_string(const JsonValue& line, std::string_view key) {
+  const JsonValue* member = line.find(key);
+  return member != nullptr && member->type == JsonValue::Type::kString
+             ? &member->str
+             : nullptr;
 }
 
 }  // namespace
@@ -115,22 +42,44 @@ bool blank(const std::string& line) {
 Result<FlightDump> read_flight_jsonl(std::istream& is) {
   FlightDump dump;
   std::string line;
-  std::vector<Member> members;
   bool have_header = false;
   std::size_t line_no = 0;
+  const auto line_error = [&](std::string_view what) {
+    return Result<FlightDump>::error(std::string("flight dump: line ")
+                                         .append(std::to_string(line_no))
+                                         .append(": ")
+                                         .append(what));
+  };
   while (std::getline(is, line)) {
     ++line_no;
-    if (blank(line)) continue;
-    if (!split_members(line, members)) {
+    const std::size_t last = line.find_last_not_of(" \t\r");
+    if (last == std::string::npos) continue;  // blank
+    // The writer emits one compact object per line whose members are
+    // unsigned integers and plain strings; a line is refused unless it is
+    // exactly that.
+    if (line.find_first_of(" \t") < last) {
+      return line_error("whitespace inside a dump line");
+    }
+    const Result<JsonValue> parsed = parse_json(line, line_no);
+    if (!parsed.ok()) {
       return Result<FlightDump>::error(
-          std::string("flight dump: malformed line ")
-              .append(std::to_string(line_no))
-              .append(" (one flat JSON object per line, each key once, "
-                      "nothing after the closing brace)"));
+          std::string("flight dump: line ").append(parsed.message()));
+    }
+    const JsonValue& members = parsed.value();
+    if (members.type != JsonValue::Type::kObject) {
+      return line_error("not a JSON object");
+    }
+    for (const auto& [key, member] : members.object) {
+      if (member.type != JsonValue::Type::kString && !member.is_uint) {
+        return line_error(std::string("\"")
+                              .append(json_escape(key))
+                              .append("\" is neither a string nor an "
+                                      "integer in [0, 2^64)"));
+      }
     }
     if (!have_header) {
-      std::string type;
-      if (!find_string(members, "type", type) || type != "flight_recorder") {
+      const std::string* type = find_string(members, "type");
+      if (type == nullptr || *type != "flight_recorder") {
         return Result<FlightDump>::error(
             "flight dump: first line is not a flight_recorder header");
       }
@@ -156,26 +105,20 @@ Result<FlightDump> read_flight_jsonl(std::istream& is) {
       continue;
     }
     FlightRecord record;
-    std::string kind;
+    const std::string* kind = find_string(members, "kind");
     const Field fields = std::max({find_uint(members, "ring", record.ring),
                                    find_uint(members, "req", record.event.req),
                                    find_uint(members, "t", record.event.t),
                                    find_uint(members, "a", record.event.a),
                                    find_uint(members, "b", record.event.b),
                                    find_uint(members, "c", record.event.c)});
-    if (fields == Field::kMissing || !find_string(members, "kind", kind)) {
-      return Result<FlightDump>::error("flight dump: malformed event at line " +
-                                       std::to_string(line_no));
+    if (fields == Field::kMissing || kind == nullptr) {
+      return line_error("event lacks one of ring/req/t/kind/a/b/c");
     }
-    if (fields == Field::kOutOfRange) {
-      return Result<FlightDump>::error(
-          "flight dump: field out of range at line " +
-          std::to_string(line_no));
-    }
-    if (!flight_kind_from_string(kind, record.event.kind)) {
-      return Result<FlightDump>::error("flight dump: unknown event kind '" +
-                                       kind + "' at line " +
-                                       std::to_string(line_no));
+    if (fields == Field::kOutOfRange) return line_error("field out of range");
+    if (!flight_kind_from_string(*kind, record.event.kind)) {
+      return line_error(
+          std::string("unknown event kind '").append(*kind).append("'"));
     }
     dump.records.push_back(record);
   }
@@ -270,16 +213,18 @@ SloSummary summarize_slo(const std::vector<CircuitTimeline>& timelines) {
           break;
       }
     }
+    std::optional<std::uint64_t> admission;
     if (saw_granted) {
       ++slo.granted;
       if (saw_requested) {
-        slo.admission_latency.push_back(
-            static_cast<double>(first_granted_at - requested_at));
+        admission = first_granted_at - requested_at;
+        slo.admission_latency.push_back(static_cast<double>(*admission));
       }
     } else {
       ++slo.never_granted;
     }
     slo.retry_count.push_back(static_cast<double>(retries));
+    slo.circuit_admission.push_back(admission);
   }
   return slo;
 }

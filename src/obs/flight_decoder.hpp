@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
@@ -42,10 +43,11 @@ struct FlightDump {
   std::vector<FlightRecord> records;
 };
 
-/// Parses a format-v1 dump. Fails (never aborts) on a missing/foreign
-/// header, an unsupported version, an unknown event kind, a malformed
-/// line, or an integer too large for its field — dumps are post-mortem
-/// artifacts and may be truncated or corrupt.
+/// Parses a format-v1 dump, each line through obs/json's strict reader.
+/// Fails (never aborts) on a missing/foreign header, an unsupported
+/// version, an unknown event kind, a malformed line, or an integer too
+/// large for its field — dumps are post-mortem artifacts and may be
+/// truncated or corrupt. Integers are decoded exactly, to 2^64 - 1.
 Result<FlightDump> read_flight_jsonl(std::istream& is);
 
 /// Every event of one tracked request, in emission order.
@@ -86,6 +88,9 @@ struct SloSummary {
   std::vector<double> recovery_time;
   /// RETRY_ENQUEUED count per circuit, one sample per circuit.
   std::vector<double> retry_count;
+  /// Per timeline, in timeline order: REQUESTED → first GRANTED ticks, or
+  /// nullopt when the circuit was never granted or carries no REQUESTED.
+  std::vector<std::optional<std::uint64_t>> circuit_admission;
 };
 
 SloSummary summarize_slo(const std::vector<CircuitTimeline>& timelines);

@@ -3,6 +3,7 @@
 #include <ostream>
 
 #include "obs/env.hpp"
+#include "obs/json.hpp"
 
 namespace ftsched::obs {
 

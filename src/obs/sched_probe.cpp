@@ -3,6 +3,8 @@
 #include <ostream>
 #include <string>
 
+#include "obs/json.hpp"
+
 namespace ftsched::obs {
 
 void SchedulerProbe::reset() {

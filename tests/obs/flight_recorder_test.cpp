@@ -6,13 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "json_check.hpp"
 #include "obs/flight_decoder.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace ftsched::obs {
@@ -125,7 +126,7 @@ TEST(FlightDump, EveryLineIsStrictJson) {
     if (end == std::string::npos) end = text.size();
     const std::string_view line(text.data() + start, end - start);
     if (!line.empty()) {
-      EXPECT_TRUE(ftsched::test::json_valid(line)) << "line: " << line;
+      EXPECT_TRUE(parse_json(line).ok()) << "line: " << line;
       ++lines;
     }
     start = end + 1;
@@ -230,6 +231,21 @@ TEST(FlightDump, DecoderRejectsOutOfRangeIntegers) {
                      "\"rings\":1,\"capacity\":99999999999999999999,"
                      "\"recorded\":1,\"dropped\":0}\n")
                    .ok());
+}
+
+TEST(FlightDump, DecodesRequestIdsPast2To53Exactly) {
+  // 2^53 + 1 is the first integer a double cannot hold; the decoder reads
+  // the token's exact value instead.
+  std::istringstream is(
+      "{\"type\":\"flight_recorder\",\"version\":1,\"rings\":1,"
+      "\"capacity\":4,\"recorded\":1,\"dropped\":0}\n"
+      "{\"ring\":0,\"req\":9007199254740993,\"t\":9007199254740995,"
+      "\"kind\":\"CLOSED\",\"a\":0,\"b\":0,\"c\":0}\n");
+  const auto dump = read_flight_jsonl(is);
+  ASSERT_TRUE(dump.ok()) << dump.message();
+  ASSERT_EQ(dump.value().records.size(), 1u);
+  EXPECT_EQ(dump.value().records[0].event.req, 9007199254740993ull);
+  EXPECT_EQ(dump.value().records[0].event.t, 9007199254740995ull);
 }
 
 TEST(FlightDump, DecoderRejectsTrailingGarbageAndDuplicateKeys) {
@@ -354,6 +370,11 @@ TEST(FlightSlo, DerivesAdmissionRecoveryAndRetryCounts) {
   EXPECT_DOUBLE_EQ(slo.recovery_time[0], 4.0);  // 10 → 14
   ASSERT_EQ(slo.retry_count.size(), 3u);
   EXPECT_DOUBLE_EQ(slo.retry_count[1], 2.0);  // circuit 2 retried twice
+  // One admission entry per timeline; none for the never-granted circuit.
+  ASSERT_EQ(slo.circuit_admission.size(), 3u);
+  EXPECT_EQ(slo.circuit_admission[0], std::optional<std::uint64_t>(0));
+  EXPECT_EQ(slo.circuit_admission[1], std::optional<std::uint64_t>(5));
+  EXPECT_EQ(slo.circuit_admission[2], std::nullopt);
 }
 
 TEST(FlightSlo, ExportEmitsHistogramsWithPercentiles) {

@@ -7,8 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "json_check.hpp"
 #include "linkstate/telemetry.hpp"
+#include "obs/json.hpp"
 
 namespace ftsched::obs {
 namespace {
@@ -207,7 +207,7 @@ TEST(LinkTelemetry, SeriesJsonlEveryLineParses) {
     if (end == std::string::npos) end = text.size();
     const std::string_view line(text.data() + start, end - start);
     if (!line.empty()) {
-      EXPECT_TRUE(ftsched::test::json_valid(line)) << "line: " << line;
+      EXPECT_TRUE(parse_json(line).ok()) << "line: " << line;
       ++lines;
     }
     start = end + 1;

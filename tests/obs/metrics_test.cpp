@@ -8,7 +8,7 @@
 #include <sstream>
 #include <string>
 
-#include "json_check.hpp"
+#include "obs/json.hpp"
 
 namespace ftsched::obs {
 namespace {
@@ -192,14 +192,6 @@ TEST(MetricsRegistryDeath, HistogramShapeMismatchRejected) {
   EXPECT_DEATH(reg.histogram("h", 0.0, 2.0, 10), "precondition");
 }
 
-TEST(JsonEscape, EscapesQuotesBackslashesAndControls) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(json_escape(std::string_view("\x01", 1)), "\\u0001");
-}
-
 TEST(MetricsRegistry, JsonlLinesAllParse) {
   MetricsRegistry reg;
   reg.counter("sched.grants").add(7);
@@ -219,7 +211,7 @@ TEST(MetricsRegistry, JsonlLinesAllParse) {
     if (end == std::string::npos) end = text.size();
     const std::string_view line(text.data() + start, end - start);
     if (!line.empty()) {
-      EXPECT_TRUE(ftsched::test::json_valid(line)) << "line: " << line;
+      EXPECT_TRUE(parse_json(line).ok()) << "line: " << line;
       ++lines;
     }
     start = end + 1;
@@ -241,8 +233,8 @@ TEST(MetricsRegistry, JsonlHistogramCarriesPercentiles) {
   EXPECT_NE(text.find("\"p50\":5"), std::string::npos) << text;
   EXPECT_NE(text.find("\"p90\":"), std::string::npos);
   EXPECT_NE(text.find("\"p99\":"), std::string::npos);
-  EXPECT_TRUE(ftsched::test::json_valid(
-      text.substr(0, text.find('\n'))));
+  EXPECT_TRUE(parse_json(
+      text.substr(0, text.find('\n'))).ok());
 }
 
 TEST(MetricsRegistry, EmptyHistogramOmitsPercentiles) {

@@ -11,8 +11,8 @@
 #include <sstream>
 #include <string>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "json_check.hpp"
 
 namespace ftsched::obs {
 namespace {
@@ -220,7 +220,7 @@ TEST(ProfileSession, JsonlLinesAndEmbeddedPointParseStrictly) {
   ASSERT_FALSE(line.empty());
   ASSERT_EQ(line.back(), '\n');
   line.pop_back();
-  EXPECT_TRUE(test::json_valid(line));
+  EXPECT_TRUE(parse_json(line).ok());
   EXPECT_NE(line.find("\"type\":\"profile\""), std::string::npos);
   EXPECT_NE(line.find("\"version\":1"), std::string::npos);
   EXPECT_NE(line.find("\"env\":"), std::string::npos);
@@ -230,14 +230,14 @@ TEST(ProfileSession, JsonlLinesAndEmbeddedPointParseStrictly) {
   std::string point_line = point.str();
   ASSERT_EQ(point_line.back(), '\n');
   point_line.pop_back();
-  EXPECT_TRUE(test::json_valid(point_line));
+  EXPECT_TRUE(parse_json(point_line).ok());
   EXPECT_NE(point_line.find("\"type\":\"point\""), std::string::npos);
   EXPECT_NE(point_line.find("\"label\":\"levelwise/l3w8\""),
             std::string::npos);
 
   std::ostringstream bare;
   session.write_point_json(bare, "levelwise/l3w8");
-  EXPECT_TRUE(test::json_valid(bare.str()));
+  EXPECT_TRUE(parse_json(bare.str()).ok());
   EXPECT_NE(bare.str().find("\"derived\":"), std::string::npos);
   EXPECT_NE(bare.str().find("\"phases\":["), std::string::npos);
 }

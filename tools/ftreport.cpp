@@ -95,10 +95,13 @@
 // to demand equal-or-better schedulability outright. Both sides are
 // deterministic per seed, so the gate is exact, not statistical.
 //
+// Every input goes through obs/json's strict reader (the flight dump through
+// obs/flight_decoder, which builds on it); a malformed file is a parse
+// error naming its line and column.
+//
 // Exit codes: 0 = ok / no regression, 1 = regression, missing benchmark,
 // anchor mismatch, or quality-gate failure, 2 = usage or parse error.
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -109,238 +112,17 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/flight_decoder.hpp"
+#include "obs/json.hpp"
+#include "stats/summary.hpp"
+
 namespace {
 
-// --- Minimal JSON ----------------------------------------------------------
-// Recursive-descent parser for the subset of RFC 8259 the repo's writers
-// emit (they never produce exotic numbers, and escapes beyond \uXXXX basic
-// plane are absent). Objects keep insertion order so report tables follow
-// the producer's ordering.
+// --- Input -----------------------------------------------------------------
+// Every artifact is read through obs/json's strict reader; a malformed file
+// is a parse error (exit 2) naming its path:line:column.
 
-struct JsonValue {
-  enum class Type : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* find(std::string_view key) const {
-    if (type != Type::kObject) return nullptr;
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  double num_or(double fallback) const {
-    return type == Type::kNumber ? number : fallback;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  bool parse(JsonValue& out, std::string& error) {
-    skip_ws();
-    if (!parse_value(out, error)) return false;
-    skip_ws();
-    if (pos_ != text_.size()) {
-      error = "trailing content at offset " + std::to_string(pos_);
-      return false;
-    }
-    return true;
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-  bool fail(std::string& error, const std::string& what) {
-    error = what + " at offset " + std::to_string(pos_);
-    return false;
-  }
-
-  bool parse_value(JsonValue& out, std::string& error) {
-    if (pos_ >= text_.size()) return fail(error, "unexpected end of input");
-    const char c = text_[pos_];
-    switch (c) {
-      case '{':
-        return parse_object(out, error);
-      case '[':
-        return parse_array(out, error);
-      case '"':
-        out.type = JsonValue::Type::kString;
-        return parse_string(out.str, error);
-      case 't':
-        if (text_.compare(pos_, 4, "true") != 0) return fail(error, "bad literal");
-        pos_ += 4;
-        out.type = JsonValue::Type::kBool;
-        out.boolean = true;
-        return true;
-      case 'f':
-        if (text_.compare(pos_, 5, "false") != 0) return fail(error, "bad literal");
-        pos_ += 5;
-        out.type = JsonValue::Type::kBool;
-        out.boolean = false;
-        return true;
-      case 'n':
-        if (text_.compare(pos_, 4, "null") != 0) return fail(error, "bad literal");
-        pos_ += 4;
-        out.type = JsonValue::Type::kNull;
-        return true;
-      default:
-        return parse_number(out, error);
-    }
-  }
-
-  bool parse_object(JsonValue& out, std::string& error) {
-    out.type = JsonValue::Type::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return fail(error, "expected object key");
-      }
-      std::string key;
-      if (!parse_string(key, error)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return fail(error, "expected ':'");
-      }
-      ++pos_;
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value, error)) return false;
-      out.object.emplace_back(std::move(key), std::move(value));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail(error, "unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail(error, "expected ',' or '}'");
-    }
-  }
-
-  bool parse_array(JsonValue& out, std::string& error) {
-    out.type = JsonValue::Type::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value, error)) return false;
-      out.array.push_back(std::move(value));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail(error, "unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail(error, "expected ',' or ']'");
-    }
-  }
-
-  bool parse_string(std::string& out, std::string& error) {
-    ++pos_;  // opening '"'
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return fail(error, "bad \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return fail(error, "bad \\u escape");
-          }
-          // UTF-8 encode the basic-plane code point (the repo's writers
-          // only escape control characters, all below U+0800).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default:
-          return fail(error, "bad escape");
-      }
-    }
-    return fail(error, "unterminated string");
-  }
-
-  bool parse_number(JsonValue& out, std::string& error) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return fail(error, "expected value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    out.number = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      pos_ = start;
-      return fail(error, "bad number");
-    }
-    out.type = JsonValue::Type::kNumber;
-    return true;
-  }
-};
+using ftsched::obs::JsonValue;
 
 bool parse_file(const std::string& path, JsonValue& out) {
   std::ifstream in(path);
@@ -350,12 +132,12 @@ bool parse_file(const std::string& path, JsonValue& out) {
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  const std::string text = buf.str();
-  std::string error;
-  if (!JsonParser(text).parse(out, error)) {
-    std::cerr << "ftreport: " << path << ": " << error << "\n";
+  auto parsed = ftsched::obs::parse_json(buf.str());
+  if (!parsed.ok()) {
+    std::cerr << "ftreport: " << path << ":" << parsed.message() << "\n";
     return false;
   }
+  out = std::move(parsed).value();
   return true;
 }
 
@@ -371,14 +153,12 @@ bool parse_jsonl_file(const std::string& path, std::vector<JsonValue>& out) {
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
-    JsonValue value;
-    std::string error;
-    if (!JsonParser(line).parse(value, error)) {
-      std::cerr << "ftreport: " << path << ":" << lineno << ": " << error
-                << "\n";
+    auto parsed = ftsched::obs::parse_json(line, lineno);
+    if (!parsed.ok()) {
+      std::cerr << "ftreport: " << path << ":" << parsed.message() << "\n";
       return false;
     }
-    out.push_back(std::move(value));
+    out.push_back(std::move(parsed).value());
   }
   return true;
 }
@@ -429,12 +209,8 @@ struct ProfileDoc {
 bool extract_profile_block(const JsonValue& doc, ProfileDoc& out) {
   const JsonValue* block = doc.find("profile");
   if (!block || block->type != JsonValue::Type::kObject) return false;
-  const JsonValue* backend = block->find("backend");
-  if (backend && backend->type == JsonValue::Type::kString) {
-    out.backend = backend->str;
-  }
-  const JsonValue* bench = doc.find("bench");
-  if (bench && bench->type == JsonValue::Type::kString) out.bench = bench->str;
+  out.backend = block->str_at("backend");
+  out.bench = doc.str_at("bench");
   if (const JsonValue* env = block->find("env")) out.env = *env;
   const JsonValue* points = block->find("points");
   if (points && points->type == JsonValue::Type::kArray) {
@@ -452,12 +228,8 @@ bool looks_like_profile_jsonl(const std::string& path) {
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    JsonValue value;
-    std::string error;
-    if (!JsonParser(line).parse(value, error)) return false;
-    const JsonValue* type = value.find("type");
-    return type && type->type == JsonValue::Type::kString &&
-           type->str == "profile";
+    const auto value = ftsched::obs::parse_json(line);
+    return value.ok() && value.value().str_at("type") == "profile";
   }
   return false;
 }
@@ -467,20 +239,13 @@ bool load_profile_jsonl(const std::string& path, ProfileDoc& out) {
   if (!parse_jsonl_file(path, lines)) return false;
   bool saw_header = false;
   for (const JsonValue& line : lines) {
-    const JsonValue* type = line.find("type");
-    if (!type || type->type != JsonValue::Type::kString) continue;
-    if (type->str == "profile") {
+    const std::string type = line.str_at("type");
+    if (type == "profile") {
       saw_header = true;
-      const JsonValue* backend = line.find("backend");
-      if (backend && backend->type == JsonValue::Type::kString) {
-        out.backend = backend->str;
-      }
-      const JsonValue* bench = line.find("bench");
-      if (bench && bench->type == JsonValue::Type::kString) {
-        out.bench = bench->str;
-      }
+      out.backend = line.str_at("backend");
+      out.bench = line.str_at("bench");
       if (const JsonValue* env = line.find("env")) out.env = *env;
-    } else if (type->str == "point") {
+    } else if (type == "point") {
       if (const JsonValue* point = line.find("point")) {
         out.points.push_back(*point);
       }
@@ -508,15 +273,10 @@ bool load_profile_any(const std::string& path, ProfileDoc& out) {
 
 std::string env_summary(const JsonValue& env) {
   if (env.type != JsonValue::Type::kObject) return "not recorded";
-  const auto str = [&](const char* key) {
-    const JsonValue* v = env.find(key);
-    return v && v->type == JsonValue::Type::kString ? v->str
-                                                    : std::string("?");
-  };
-  const JsonValue* cores = env.find("cores");
-  return str("cpu") + ", " + fmt(cores ? cores->num_or(0) : 0, 0) +
-         " cores, compiler " + str("compiler") + ", " + str("build") +
-         " build, governor " + str("governor");
+  return env.str_at("cpu", "?") + ", " + fmt(env.num_at("cores"), 0) +
+         " cores, compiler " + env.str_at("compiler", "?") + ", " +
+         env.str_at("build", "?") + " build, governor " +
+         env.str_at("governor", "?");
 }
 
 /// Field-by-field diff of two env fingerprints. Empty when either side did
@@ -650,10 +410,8 @@ bool compare_fig9(const JsonValue& base, const JsonValue& cand, bool perf,
     return false;
   }
   const auto point_key = [](const JsonValue& point) {
-    const JsonValue* levels = point.find("levels");
-    const JsonValue* arity = point.find("arity");
-    return "levels=" + fmt(levels ? levels->num_or(0) : 0, 0) +
-           " arity=" + fmt(arity ? arity->num_or(0) : 0, 0);
+    return "levels=" + fmt(point.num_at("levels"), 0) +
+           " arity=" + fmt(point.num_at("arity"), 0);
   };
   for (const JsonValue& bp : base_points->array) {
     const std::string key = point_key(bp);
@@ -715,12 +473,9 @@ bool compare_degradation(const JsonValue& base, const JsonValue& cand,
     return false;
   }
   const auto point_key = [](const JsonValue& point) {
-    const JsonValue* levels = point.find("levels");
-    const JsonValue* arity = point.find("arity");
-    const JsonValue* rate = point.find("fault_rate");
-    std::string key = "levels=" + fmt(levels ? levels->num_or(0) : 0, 0) +
-                      " arity=" + fmt(arity ? arity->num_or(0) : 0, 0) +
-                      " rate=" + fmt(rate ? rate->num_or(0) : 0, 2);
+    std::string key = "levels=" + fmt(point.num_at("levels"), 0) +
+                      " arity=" + fmt(point.num_at("arity"), 0) +
+                      " rate=" + fmt(point.num_at("fault_rate"), 2);
     // Multi-scheduler sweeps key the scheduler too; single-scheduler files
     // (no "scheduler" field) keep the legacy key, so old baselines compare.
     const JsonValue* sched = point.find("scheduler");
@@ -1041,26 +796,16 @@ void report_profile(const ProfileDoc& prof, std::ostream& md, CsvSink& csv) {
     return;
   }
   const auto derived_of = [](const JsonValue& point, const char* key) {
-    const JsonValue* derived = point.find("derived");
-    const JsonValue* v = derived ? derived->find(key) : nullptr;
-    return v ? v->num_or(0.0) : 0.0;
-  };
-  const auto sample_field = [](const JsonValue* sample, const char* key) {
-    const JsonValue* v = sample ? sample->find(key) : nullptr;
-    return v ? v->num_or(0.0) : 0.0;
+    return point.at("derived").num_at(key);
   };
   md << "| point | requests | wall ns/req | instr/req | IPC |"
         " L1d miss/req | unattributed |\n"
      << "|---|---:|---:|---:|---:|---:|---:|\n";
   for (const JsonValue& point : prof.points) {
-    const JsonValue* label = point.find("label");
-    const std::string name =
-        label && label->type == JsonValue::Type::kString ? label->str : "?";
-    const JsonValue* requests = point.find("requests");
-    const double total_wall = sample_field(point.find("total"), "wall_ns");
-    const double unattributed_wall =
-        sample_field(point.find("unattributed"), "wall_ns");
-    md << "| " << name << " | " << fmt(requests ? requests->num_or(0) : 0, 0)
+    const std::string name = point.str_at("label", "?");
+    const double total_wall = point.at("total").num_at("wall_ns");
+    const double unattributed_wall = point.at("unattributed").num_at("wall_ns");
+    md << "| " << name << " | " << fmt(point.num_at("requests"), 0)
        << " | " << fmt(derived_of(point, "wall_ns_per_request"), 1) << " | "
        << fmt(derived_of(point, "instructions_per_request"), 1) << " | "
        << fmt(derived_of(point, "ipc"), 2) << " | "
@@ -1076,29 +821,21 @@ void report_profile(const ProfileDoc& prof, std::ostream& md, CsvSink& csv) {
   }
   md << "\n";
   for (const JsonValue& point : prof.points) {
-    const JsonValue* label = point.find("label");
-    const std::string name =
-        label && label->type == JsonValue::Type::kString ? label->str : "?";
+    const std::string name = point.str_at("label", "?");
     const JsonValue* phases = point.find("phases");
     if (!phases || phases->type != JsonValue::Type::kArray ||
         phases->array.empty()) {
       continue;
     }
-    const double total_wall = sample_field(point.find("total"), "wall_ns");
+    const double total_wall = point.at("total").num_at("wall_ns");
     md << "### " << name << " — cost by phase and level\n\n"
        << "| phase | level | entries | wall (us) | share |\n"
        << "|---|---:|---:|---:|---:|\n";
     for (const JsonValue& slot : phases->array) {
-      const JsonValue* phase = slot.find("phase");
-      const std::string phase_name =
-          phase && phase->type == JsonValue::Type::kString ? phase->str : "?";
-      const double level = slot.find("level")
-                               ? slot.find("level")->num_or(0)
-                               : 0;
-      const double entries = slot.find("entries")
-                                 ? slot.find("entries")->num_or(0)
-                                 : 0;
-      const double wall = sample_field(slot.find("self"), "wall_ns");
+      const std::string phase_name = slot.str_at("phase", "?");
+      const double level = slot.num_at("level");
+      const double entries = slot.num_at("entries");
+      const double wall = slot.at("self").num_at("wall_ns");
       md << "| " << phase_name << " | " << fmt(level, 0) << " | "
          << fmt(entries, 0) << " | " << fmt(wall / 1000.0, 1) << " | "
          << (total_wall > 0 ? fmt_pct(wall / total_wall) : std::string("-"))
@@ -1145,9 +882,9 @@ void report_bench(const JsonValue& bench, std::ostream& md, CsvSink& csv) {
   for (std::size_t i = 0; i < scheds.size(); ++i) md << "---:|";
   md << "\n";
   for (const JsonValue& point : points->array) {
-    const double nodes = point.find("nodes") ? point.find("nodes")->num_or(0) : 0;
-    const double levels = point.find("levels") ? point.find("levels")->num_or(0) : 0;
-    const double arity = point.find("arity") ? point.find("arity")->num_or(0) : 0;
+    const double nodes = point.num_at("nodes");
+    const double levels = point.num_at("levels");
+    const double arity = point.num_at("arity");
     md << "| " << fmt(nodes, 0) << " | " << fmt(levels, 0) << " | "
        << fmt(arity, 0) << " |";
     const JsonValue* s = point.find("schedulers");
@@ -1173,12 +910,14 @@ void report_bench(const JsonValue& bench, std::ostream& md, CsvSink& csv) {
 void report_degradation(const JsonValue& bench, std::ostream& md,
                         CsvSink& csv) {
   md << "## Fault degradation sweep\n\n";
-  const JsonValue* reps = bench.find("reps");
-  const JsonValue* horizon = bench.find("horizon");
   const JsonValue* retry = bench.find("retry");
   md << "bench `degradation`";
-  if (reps) md << ", " << fmt(reps->num_or(0), 0) << " repetitions";
-  if (horizon) md << ", horizon " << fmt(horizon->num_or(0), 0);
+  if (bench.find("reps")) {
+    md << ", " << fmt(bench.num_at("reps"), 0) << " repetitions";
+  }
+  if (bench.find("horizon")) {
+    md << ", horizon " << fmt(bench.num_at("horizon"), 0);
+  }
   if (retry && retry->type == JsonValue::Type::kString) {
     md << ", retry `" << retry->str << "`";
   }
@@ -1190,23 +929,16 @@ void report_degradation(const JsonValue& bench, std::ostream& md,
     return;
   }
   const auto scheduler_of = [](const JsonValue& point) {
-    const JsonValue* s = point.find("scheduler");
-    return s && s->type == JsonValue::Type::kString ? s->str
-                                                    : std::string("levelwise");
+    return point.str_at("scheduler", "levelwise");
   };
   md << "| nodes | scheduler | rate | first-attempt | open | ever granted |"
         " victims | recovered | recovery | retry p50/p90/p99 |\n"
         "|---:|---|---:|---:|---:|---:|---:|---:|---:|---:|\n";
   bool have_imbalance = false;
   for (const JsonValue& point : points->array) {
-    const auto num = [&](const char* key) {
-      const JsonValue* v = point.find(key);
-      return v ? v->num_or(0.0) : 0.0;
-    };
+    const auto num = [&](const char* key) { return point.num_at(key); };
     const auto mean_of = [&](const char* section) {
-      const JsonValue* s = point.find(section);
-      const JsonValue* m = s ? s->find("mean") : nullptr;
-      return m ? m->num_or(0.0) : 0.0;
+      return point.at(section).num_at("mean");
     };
     if (point.find("imbalance_hotspot")) have_imbalance = true;
     const double rate = num("fault_rate");
@@ -1220,12 +952,10 @@ void report_degradation(const JsonValue& bench, std::ostream& md,
        << fmt_pct(mean_of("ever_granted")) << " | " << fmt(num("victims"), 0)
        << " | " << fmt(num("recovered"), 0) << " | "
        << fmt_pct(num("recovery_success_ratio")) << " | ";
-    const JsonValue* lat = point.find("retry_latency");
-    const JsonValue* lat_count = lat ? lat->find("count") : nullptr;
-    if (lat && lat_count && lat_count->num_or(0) > 0) {
-      md << fmt(lat->find("p50") ? lat->find("p50")->num_or(0) : 0, 1) << "/"
-         << fmt(lat->find("p90") ? lat->find("p90")->num_or(0) : 0, 1) << "/"
-         << fmt(lat->find("p99") ? lat->find("p99")->num_or(0) : 0, 1);
+    const JsonValue& lat = point.at("retry_latency");
+    if (lat.num_at("count") > 0) {
+      md << fmt(lat.num_at("p50"), 1) << "/" << fmt(lat.num_at("p90"), 1)
+         << "/" << fmt(lat.num_at("p99"), 1);
     } else {
       md << "-";
     }
@@ -1252,14 +982,9 @@ void report_degradation(const JsonValue& bench, std::ostream& md,
           "| nodes | scheduler | rate | max/mean | CoV | hotspot |\n"
           "|---:|---|---:|---:|---:|---:|\n";
     for (const JsonValue& point : points->array) {
-      const auto num = [&](const char* key) {
-        const JsonValue* v = point.find(key);
-        return v ? v->num_or(0.0) : 0.0;
-      };
+      const auto num = [&](const char* key) { return point.num_at(key); };
       const auto mean_of = [&](const char* section) {
-        const JsonValue* s = point.find(section);
-        const JsonValue* m = s ? s->find("mean") : nullptr;
-        return m ? m->num_or(0.0) : 0.0;
+        return point.at(section).num_at("mean");
       };
       const double rate = num("fault_rate");
       const std::string key_prefix =
@@ -1287,14 +1012,8 @@ void report_degradation(const JsonValue& bench, std::ostream& md,
 bool report_chaos_soak(const JsonValue& bench, std::ostream& md,
                        CsvSink& csv) {
   md << "## Chaos soak\n\n";
-  const auto num = [&](const char* key) {
-    const JsonValue* v = bench.find(key);
-    return v ? v->num_or(0.0) : 0.0;
-  };
-  const auto str = [&](const char* key) {
-    const JsonValue* v = bench.find(key);
-    return v && v->type == JsonValue::Type::kString ? v->str : std::string();
-  };
+  const auto num = [&](const char* key) { return bench.num_at(key); };
+  const auto str = [&](const char* key) { return bench.str_at(key); };
   const JsonValue* ok_value = bench.find("ok");
   const bool ok = ok_value && ok_value->type == JsonValue::Type::kBool &&
                   ok_value->boolean;
@@ -1340,19 +1059,11 @@ bool report_chaos_soak(const JsonValue& bench, std::ostream& md,
 void report_metrics(const std::vector<JsonValue>& lines, std::ostream& md,
                     CsvSink& csv) {
   md << "## Scheduler metrics\n\n";
-  const auto value_of = [&](std::string_view metric) -> const JsonValue* {
-    for (const JsonValue& line : lines) {
-      const JsonValue* name = line.find("metric");
-      if (name && name->type == JsonValue::Type::kString &&
-          name->str == metric) {
-        return line.find("value");
-      }
-    }
-    return nullptr;
-  };
   const auto counter = [&](std::string_view metric) {
-    const JsonValue* v = value_of(metric);
-    return v ? v->num_or(0.0) : 0.0;
+    for (const JsonValue& line : lines) {
+      if (line.str_at("metric") == metric) return line.num_at("value");
+    }
+    return 0.0;
   };
 
   const double requests = counter("sched.requests");
@@ -1378,15 +1089,13 @@ void report_metrics(const std::vector<JsonValue>& lines, std::ostream& md,
                              const std::string& csv_prefix) {
     std::vector<std::pair<std::string, double>> items;
     for (const JsonValue& line : lines) {
-      const JsonValue* name = line.find("metric");
-      if (!name || name->type != JsonValue::Type::kString) continue;
-      if (name->str.rfind(prefix, 0) != 0) continue;
-      const std::string label = name->str.substr(prefix.size());
+      const std::string name = line.str_at("metric");
+      if (name.rfind(prefix, 0) != 0) continue;
+      const std::string label = name.substr(prefix.size());
       // Keep flat children only — "sched.reject.level0" yes,
       // "sched.reject.reason.x" is a different prefix's child.
       if (label.find('.') != std::string::npos) continue;
-      const JsonValue* v = line.find("value");
-      items.emplace_back(label, v ? v->num_or(0.0) : 0.0);
+      items.emplace_back(label, line.num_at("value"));
     }
     if (items.empty()) return;
     md << "### " << title << "\n\n| key | count | share |\n|---|---:|---:|\n";
@@ -1441,11 +1150,9 @@ void report_metrics(const std::vector<JsonValue>& lines, std::ostream& md,
   // Fabric utilization gauges exported by LinkTelemetry, if present.
   std::vector<std::pair<std::string, double>> fabric;
   for (const JsonValue& line : lines) {
-    const JsonValue* name = line.find("metric");
-    if (!name || name->type != JsonValue::Type::kString) continue;
-    if (name->str.rfind("fabric.util.", 0) != 0) continue;
-    const JsonValue* v = line.find("value");
-    fabric.emplace_back(name->str.substr(12), v ? v->num_or(0.0) : 0.0);
+    const std::string name = line.str_at("metric");
+    if (name.rfind("fabric.util.", 0) != 0) continue;
+    fabric.emplace_back(name.substr(12), line.num_at("value"));
   }
   if (!fabric.empty()) {
     md << "### Fabric utilization (from metrics export)\n\n"
@@ -1467,13 +1174,12 @@ void report_telemetry(const std::vector<JsonValue>& lines, std::ostream& md,
   std::vector<const JsonValue*> saturations;
   const JsonValue* top = nullptr;
   for (const JsonValue& line : lines) {
-    const JsonValue* type = line.find("type");
-    if (!type || type->type != JsonValue::Type::kString) continue;
-    if (type->str == "link_telemetry") header = &line;
-    else if (type->str == "sample") samples.push_back(&line);
-    else if (type->str == "utilization") utilization = &line;
-    else if (type->str == "saturation") saturations.push_back(&line);
-    else if (type->str == "top_contended") top = &line;
+    const std::string type = line.str_at("type");
+    if (type == "link_telemetry") header = &line;
+    else if (type == "sample") samples.push_back(&line);
+    else if (type == "utilization") utilization = &line;
+    else if (type == "saturation") saturations.push_back(&line);
+    else if (type == "top_contended") top = &line;
   }
   if (!header) {
     md << "_no link_telemetry header line_\n\n";
@@ -1483,17 +1189,14 @@ void report_telemetry(const std::vector<JsonValue>& lines, std::ostream& md,
   const std::size_t level_count =
       levels && levels->type == JsonValue::Type::kArray ? levels->array.size()
                                                         : 0;
-  const JsonValue* total = header->find("samples");
-  md << fmt(total ? total->num_or(0) : 0, 0) << " samples, " << level_count
+  md << fmt(header->num_at("samples"), 0) << " samples, " << level_count
      << " link levels\n\n";
 
   // Channel capacity per level (rows * ports) normalizes occupied counts.
   std::vector<double> capacity(level_count, 0.0);
   for (std::size_t h = 0; h < level_count; ++h) {
     const JsonValue& shape = levels->array[h];
-    const JsonValue* rows = shape.find("rows");
-    const JsonValue* ports = shape.find("ports");
-    capacity[h] = (rows ? rows->num_or(0) : 0) * (ports ? ports->num_or(0) : 0);
+    capacity[h] = shape.num_at("rows") * shape.num_at("ports");
   }
 
   if (utilization) {
@@ -1562,11 +1265,8 @@ void report_telemetry(const std::vector<JsonValue>& lines, std::ostream& md,
     md << "### Saturation histograms (occupied channels per row sample)\n\n"
        << "| level | dir | bins (occ0..occN) |\n|---:|---|---|\n";
     for (const JsonValue* s : saturations) {
-      const JsonValue* level = s->find("level");
-      const JsonValue* dir = s->find("dir");
       const JsonValue* bins = s->find("bins");
-      md << "| " << fmt(level ? level->num_or(0) : 0, 0) << " | "
-         << (dir && dir->type == JsonValue::Type::kString ? dir->str : "?")
+      md << "| " << fmt(s->num_at("level"), 0) << " | " << s->str_at("dir", "?")
          << " | ";
       if (bins && bins->type == JsonValue::Type::kArray) {
         for (std::size_t i = 0; i < bins->array.size(); ++i) {
@@ -1587,16 +1287,10 @@ void report_telemetry(const std::vector<JsonValue>& lines, std::ostream& md,
          << "| level | row | port | dir | busy samples |\n"
          << "|---:|---:|---:|---|---:|\n";
       for (const JsonValue& link : links->array) {
-        md << "| " << fmt(link.find("level") ? link.find("level")->num_or(0) : 0, 0)
-           << " | " << fmt(link.find("row") ? link.find("row")->num_or(0) : 0, 0)
-           << " | " << fmt(link.find("port") ? link.find("port")->num_or(0) : 0, 0)
-           << " | "
-           << (link.find("dir") &&
-                       link.find("dir")->type == JsonValue::Type::kString
-                   ? link.find("dir")->str
-                   : "?")
-           << " | " << fmt(link.find("busy") ? link.find("busy")->num_or(0) : 0, 0)
-           << " |\n";
+        md << "| " << fmt(link.num_at("level"), 0) << " | "
+           << fmt(link.num_at("row"), 0) << " | "
+           << fmt(link.num_at("port"), 0) << " | " << link.str_at("dir", "?")
+           << " | " << fmt(link.num_at("busy"), 0) << " |\n";
       }
       md << "\n";
     }
@@ -1618,23 +1312,20 @@ void report_trace(const JsonValue& trace, std::ostream& md, CsvSink& csv) {
   std::map<std::string, Rollup> spans;
   std::size_t instants = 0, counters = 0;
   for (const JsonValue& event : events->array) {
-    const JsonValue* ph = event.find("ph");
-    if (!ph || ph->type != JsonValue::Type::kString) continue;
-    if (ph->str == "i" || ph->str == "I") {
+    const std::string ph = event.str_at("ph");
+    if (ph == "i" || ph == "I") {
       ++instants;
       continue;
     }
-    if (ph->str == "C") {
+    if (ph == "C") {
       ++counters;
       continue;
     }
-    if (ph->str != "X") continue;
     const JsonValue* name = event.find("name");
-    const JsonValue* dur = event.find("dur");
-    if (!name || name->type != JsonValue::Type::kString) continue;
+    if (ph != "X" || !name || name->type != JsonValue::Type::kString) continue;
     Rollup& r = spans[name->str];
     ++r.count;
-    const double d = dur ? dur->num_or(0.0) : 0.0;
+    const double d = event.num_at("dur");
     r.total_us += d;
     r.max_us = std::max(r.max_us, d);
   }
@@ -1664,150 +1355,31 @@ void report_trace(const JsonValue& trace, std::ostream& md, CsvSink& csv) {
 }
 
 /// Circuit lifecycle / SLO section from a FlightRecorder dump (format v1).
-/// The ledger is stitched by request id — ids are rep-namespaced, so one
-/// circuit's events always come from one ring, and dump order within a ring
-/// is chronological.
-void report_flight(const std::vector<JsonValue>& lines, std::ostream& md,
+/// Decoding, stitching by request id and the SLO walk are obs/flight_decoder's
+/// (the path the library's slo.* metrics take); only the worst-circuit
+/// timelines and the burn-down walk the stitched events again, to render.
+void report_flight(const ftsched::obs::FlightDump& dump, std::ostream& md,
                    CsvSink& csv) {
+  namespace obs = ftsched::obs;
   md << "## Circuit lifecycle / SLO (flight recorder)\n\n";
-  const JsonValue* header = nullptr;
-  struct FlightLine {
-    double req = 0.0;
-    double t = 0.0;
-    std::string kind;
-    double a = 0.0;
-    double b = 0.0;
-    double c = 0.0;
-  };
-  std::vector<FlightLine> events;
-  for (const JsonValue& line : lines) {
-    const JsonValue* type = line.find("type");
-    if (type && type->type == JsonValue::Type::kString &&
-        type->str == "flight_recorder") {
-      header = &line;
-      continue;
-    }
-    const JsonValue* req = line.find("req");
-    const JsonValue* t = line.find("t");
-    const JsonValue* kind = line.find("kind");
-    if (!req || !t || !kind || kind->type != JsonValue::Type::kString) {
-      continue;
-    }
-    FlightLine e;
-    e.req = req->num_or(0);
-    e.t = t->num_or(0);
-    e.kind = kind->str;
-    e.a = line.find("a") ? line.find("a")->num_or(0) : 0;
-    e.b = line.find("b") ? line.find("b")->num_or(0) : 0;
-    e.c = line.find("c") ? line.find("c")->num_or(0) : 0;
-    events.push_back(std::move(e));
-  }
-  if (!header) {
-    md << "_no flight_recorder header line_\n\n";
-    return;
-  }
-  const auto hnum = [&](const char* key) {
-    const JsonValue* v = header->find(key);
-    return v ? v->num_or(0) : 0;
-  };
-  md << fmt(hnum("recorded"), 0) << " events recorded over "
-     << fmt(hnum("rings"), 0) << " ring(s) of capacity "
-     << fmt(hnum("capacity"), 0) << ", " << fmt(hnum("dropped"), 0)
+  md << dump.recorded << " events recorded over " << dump.rings
+     << " ring(s) of capacity " << dump.capacity << ", " << dump.dropped
      << " dropped\n\n";
-  csv.add("flight", "recorded", hnum("recorded"));
-  csv.add("flight", "dropped", hnum("dropped"));
+  csv.add("flight", "recorded", static_cast<double>(dump.recorded));
+  csv.add("flight", "dropped", static_cast<double>(dump.dropped));
 
-  // Stitch per-circuit timelines: stable sort by request id keeps each
-  // circuit's dump order (chronological within its one ring).
-  std::stable_sort(events.begin(), events.end(),
-                   [](const FlightLine& lhs, const FlightLine& rhs) {
-                     return lhs.req < rhs.req;
-                   });
-  struct Circuit {
-    double req = 0.0;
-    double admission = -1.0;  ///< first REQUESTED -> first GRANTED, ticks
-    std::size_t retries = 0;
-    std::size_t event_count = 0;
-    std::string timeline;  ///< "REQUESTED@0 GRANTED@0 ..." for worst-K rows
-  };
-  std::vector<Circuit> circuits;
-  std::vector<double> admission, recovery, retries_per_circuit;
-  std::size_t granted = 0, never_granted = 0, closed = 0, shed = 0;
-  std::vector<std::pair<double, int>> burn;  ///< (t, +1 revoke / -1 recover)
-  {
-    std::size_t i = 0;
-    while (i < events.size()) {
-      std::size_t j = i;
-      while (j < events.size() && events[j].req == events[i].req) ++j;
-      Circuit circuit;
-      circuit.req = events[i].req;
-      circuit.event_count = j - i;
-      bool saw_requested = false, saw_granted = false, revoked = false;
-      double requested_at = 0, granted_at = 0, revoked_at = 0;
-      for (std::size_t k = i; k < j; ++k) {
-        const FlightLine& e = events[k];
-        if (!circuit.timeline.empty()) circuit.timeline += " ";
-        circuit.timeline += e.kind + "@" + fmt(e.t, 0);
-        if (e.kind == "REQUESTED") {
-          if (!saw_requested) {
-            saw_requested = true;
-            requested_at = e.t;
-          }
-        } else if (e.kind == "GRANTED") {
-          if (!saw_granted) {
-            saw_granted = true;
-            granted_at = e.t;
-          }
-        } else if (e.kind == "REVOKED") {
-          revoked = true;
-          revoked_at = e.t;
-          burn.emplace_back(e.t, 1);
-        } else if (e.kind == "RECOVERED") {
-          if (revoked) {
-            recovery.push_back(e.t - revoked_at);
-            revoked = false;
-          }
-          burn.emplace_back(e.t, -1);
-        } else if (e.kind == "RETRY_ENQUEUED") {
-          ++circuit.retries;
-        } else if (e.kind == "RETRY_SHED") {
-          ++shed;
-        } else if (e.kind == "CLOSED") {
-          ++closed;
-        }
-      }
-      if (saw_granted) {
-        ++granted;
-        if (saw_requested) {
-          circuit.admission = granted_at - requested_at;
-          admission.push_back(circuit.admission);
-        }
-      } else {
-        ++never_granted;
-      }
-      retries_per_circuit.push_back(static_cast<double>(circuit.retries));
-      circuits.push_back(std::move(circuit));
-      i = j;
-    }
-  }
+  const std::vector<obs::CircuitTimeline> timelines =
+      obs::stitch_timelines(dump.records);
+  const obs::SloSummary slo = obs::summarize_slo(timelines);
   md << "| circuits | granted | never granted | closed | retries shed |\n"
      << "|---:|---:|---:|---:|---:|\n"
-     << "| " << circuits.size() << " | " << granted << " | " << never_granted
-     << " | " << closed << " | " << shed << " |\n\n";
-  csv.add("flight", "circuits", static_cast<double>(circuits.size()));
-  csv.add("flight", "granted", static_cast<double>(granted));
-  csv.add("flight", "never_granted", static_cast<double>(never_granted));
+     << "| " << slo.circuits << " | " << slo.granted << " | "
+     << slo.never_granted << " | " << slo.closed << " | " << slo.shed
+     << " |\n\n";
+  csv.add("flight", "circuits", static_cast<double>(slo.circuits));
+  csv.add("flight", "granted", static_cast<double>(slo.granted));
+  csv.add("flight", "never_granted", static_cast<double>(slo.never_granted));
 
-  // Order statistics with linear interpolation, matching the repo's
-  // Summary/Histogram convention.
-  const auto pct = [](std::vector<double> v, double q) {
-    std::sort(v.begin(), v.end());
-    const double rank = q * static_cast<double>(v.size() - 1);
-    const auto lower = static_cast<std::size_t>(rank);
-    const double fraction = rank - static_cast<double>(lower);
-    if (lower + 1 >= v.size()) return v[lower];
-    return v[lower] + fraction * (v[lower + 1] - v[lower]);
-  };
   md << "### Admission / recovery SLOs\n\n"
      << "| metric | samples | p50 | p99 |\n|---|---:|---:|---:|\n";
   const auto slo_row = [&](const char* label, const char* key,
@@ -1817,24 +1389,31 @@ void report_flight(const std::vector<JsonValue>& lines, std::ostream& md,
       md << "- | - |\n";
       return;
     }
-    const double p50 = pct(samples, 0.50);
-    const double p99 = pct(samples, 0.99);
+    const double p50 = ftsched::percentile(samples, 0.50);
+    const double p99 = ftsched::percentile(samples, 0.99);
     md << fmt(p50, 1) << " | " << fmt(p99, 1) << " |\n";
     csv.add("flight", std::string(key) + ".p50", p50);
     csv.add("flight", std::string(key) + ".p99", p99);
   };
-  slo_row("admission latency (ticks)", "admission_latency", admission);
-  slo_row("revocation -> recovery (ticks)", "recovery_time", recovery);
-  slo_row("retries per circuit", "retries_per_circuit", retries_per_circuit);
+  slo_row("admission latency (ticks)", "admission_latency",
+          slo.admission_latency);
+  slo_row("revocation -> recovery (ticks)", "recovery_time",
+          slo.recovery_time);
+  slo_row("retries per circuit", "retries_per_circuit", slo.retry_count);
   md << "\n";
 
-  // Worst offenders: slowest admissions first, then busiest ledgers.
-  std::vector<const Circuit*> worst;
-  for (const Circuit& c : circuits) worst.push_back(&c);
-  std::sort(worst.begin(), worst.end(), [](const Circuit* a, const Circuit* b) {
-    if (a->admission != b->admission) return a->admission > b->admission;
-    if (a->event_count != b->event_count) return a->event_count > b->event_count;
-    return a->req < b->req;
+  // Worst offenders: slowest admissions first (never admitted last), then
+  // busiest ledgers.
+  std::vector<std::size_t> worst(timelines.size());
+  for (std::size_t i = 0; i < worst.size(); ++i) worst[i] = i;
+  std::sort(worst.begin(), worst.end(), [&](std::size_t a, std::size_t b) {
+    if (slo.circuit_admission[a] != slo.circuit_admission[b]) {
+      return slo.circuit_admission[a] > slo.circuit_admission[b];
+    }
+    if (timelines[a].events.size() != timelines[b].events.size()) {
+      return timelines[a].events.size() > timelines[b].events.size();
+    }
+    return timelines[a].req < timelines[b].req;
   });
   const std::size_t k_worst = std::min<std::size_t>(5, worst.size());
   if (k_worst > 0) {
@@ -1842,22 +1421,40 @@ void report_flight(const std::vector<JsonValue>& lines, std::ostream& md,
        << "| request | admission | retries | timeline |\n"
        << "|---:|---:|---:|---|\n";
     for (std::size_t i = 0; i < k_worst; ++i) {
-      const Circuit& c = *worst[i];
-      std::string timeline = c.timeline;
+      const std::size_t c = worst[i];
+      std::string timeline;
+      for (const obs::FlightEvent& e : timelines[c].events) {
+        if (!timeline.empty()) timeline += " ";
+        timeline.append(obs::to_string(e.kind))
+            .append("@")
+            .append(std::to_string(e.t));
+      }
       constexpr std::size_t kMaxTimeline = 120;
       if (timeline.size() > kMaxTimeline) {
         timeline.resize(kMaxTimeline);
         timeline += "...";
       }
-      md << "| " << fmt(c.req, 0) << " | "
-         << (c.admission < 0 ? std::string("-") : fmt(c.admission, 0))
-         << " | " << c.retries << " | `" << timeline << "` |\n";
+      const auto& admission = slo.circuit_admission[c];
+      md << "| " << timelines[c].req << " | "
+         << (admission ? std::to_string(*admission) : std::string("-"))
+         << " | " << static_cast<std::uint64_t>(slo.retry_count[c]) << " | `"
+         << timeline << "` |\n";
     }
     md << "\n";
   }
 
   // Recovery burn-down: victims still out of service over simulated time,
   // in tenths of the observed window.
+  std::vector<std::pair<double, int>> burn;  ///< (t, +1 revoke / -1 recover)
+  for (const obs::CircuitTimeline& timeline : timelines) {
+    for (const obs::FlightEvent& e : timeline.events) {
+      if (e.kind == obs::FlightEventKind::kRevoked) {
+        burn.emplace_back(static_cast<double>(e.t), 1);
+      } else if (e.kind == obs::FlightEventKind::kRecovered) {
+        burn.emplace_back(static_cast<double>(e.t), -1);
+      }
+    }
+  }
   if (!burn.empty()) {
     std::sort(burn.begin(), burn.end());
     const double t_max = burn.back().first;
@@ -1960,9 +1557,18 @@ int run_report(const Args& args) {
     report_trace(trace, md, csv);
   }
   if (!flight_path.empty()) {
-    std::vector<JsonValue> lines;
-    if (!parse_jsonl_file(flight_path, lines)) return 2;
-    report_flight(lines, md, csv);
+    std::ifstream in(flight_path);
+    if (!in) {
+      std::cerr << "ftreport: cannot open " << flight_path << "\n";
+      return 2;
+    }
+    const auto dump = ftsched::obs::read_flight_jsonl(in);
+    if (!dump.ok()) {
+      std::cerr << "ftreport: " << flight_path << ": " << dump.message()
+                << "\n";
+      return 2;
+    }
+    report_flight(dump.value(), md, csv);
   }
 
   const std::string out_path = flag("out");
@@ -2036,20 +1642,13 @@ int run_anchor(const Args& args) {
   };
 
   for (const JsonValue& point : deg_points->array) {
-    const auto num = [&](const char* key) {
-      const JsonValue* v = point.find(key);
-      return v ? v->num_or(0.0) : 0.0;
-    };
+    const auto num = [&](const char* key) { return point.num_at(key); };
     const double levels = num("levels");
     const double arity = num("arity");
     const double rate = num("fault_rate");
     // Multi-scheduler sweeps tag each point; --scheduler covers legacy
     // single-scheduler files.
-    std::string point_scheduler = scheduler;
-    if (const JsonValue* s = point.find("scheduler");
-        s && s->type == JsonValue::Type::kString) {
-      point_scheduler = s->str;
-    }
+    const std::string point_scheduler = point.str_at("scheduler", scheduler);
     const std::string where = "levels=" + fmt(levels, 0) +
                               " arity=" + fmt(arity, 0) +
                               " rate=" + fmt(rate, 2) + " " + point_scheduler;
@@ -2064,8 +1663,7 @@ int run_anchor(const Args& args) {
         continue;
       }
       for (const char* stat : {"mean", "min", "max"}) {
-        const JsonValue* v = s->find(stat);
-        const double x = v ? v->num_or(-1.0) : -1.0;
+        const double x = s->num_at(stat, -1.0);
         if (x < 0.0 || x > 1.0) {
           fail(where, std::string(section) + "." + stat + " = " + fmt(x) +
                           " outside [0, 1]");
@@ -2094,19 +1692,14 @@ int run_anchor(const Args& args) {
       }
     }
     if (const JsonValue* s = point.find("imbalance_cov")) {
-      const JsonValue* m = s->find("mean");
-      if (!m || m->num_or(-1.0) < 0.0) {
+      if (s->num_at("mean", -1.0) < 0.0) {
         fail(where, "imbalance_cov.mean negative or missing");
       }
     }
     for (const char* lat_key : {"recovery_latency", "retry_latency"}) {
-      const JsonValue* lat = point.find(lat_key);
-      const JsonValue* count = lat ? lat->find("count") : nullptr;
-      if (!lat || !count || count->num_or(0) <= 0) continue;
-      const auto pct = [&](const char* p) {
-        const JsonValue* v = lat->find(p);
-        return v ? v->num_or(0.0) : 0.0;
-      };
+      const JsonValue& lat = point.at(lat_key);
+      if (lat.num_at("count") <= 0) continue;
+      const auto pct = [&](const char* p) { return lat.num_at(p); };
       if (!(pct("p50") <= pct("p90") && pct("p90") <= pct("p99"))) {
         fail(where, std::string(lat_key) + " percentiles not ordered: " +
                         fmt(pct("p50"), 1) + "/" + fmt(pct("p90"), 1) + "/" +
@@ -2118,9 +1711,8 @@ int run_anchor(const Args& args) {
     if (rate != 0.0) continue;
     const JsonValue* anchor = nullptr;
     for (const JsonValue& fp : fig9_points->array) {
-      const JsonValue* fl = fp.find("levels");
-      const JsonValue* fa = fp.find("arity");
-      if (fl && fa && fl->num_or(-1) == levels && fa->num_or(-1) == arity) {
+      if (fp.num_at("levels", -1) == levels &&
+          fp.num_at("arity", -1) == arity) {
         const JsonValue* scheds = fp.find("schedulers");
         anchor = scheds ? scheds->find(point_scheduler) : nullptr;
         break;
@@ -2216,32 +1808,24 @@ int run_quality(const Args& args) {
   const JsonValue* points = doc.find("points");
 
   const auto scheduler_of = [](const JsonValue& point) {
-    const JsonValue* s = point.find("scheduler");
-    return s && s->type == JsonValue::Type::kString ? s->str : std::string();
+    return point.str_at("scheduler");
   };
   const auto mean_of = [](const JsonValue& point, const char* section) {
-    const JsonValue* s = point.find(section);
-    const JsonValue* m = s ? s->find("mean") : nullptr;
-    return m ? m->num_or(-1.0) : -1.0;
+    return point.at(section).num_at("mean", -1.0);
   };
 
   std::size_t failures = 0;
   std::size_t gated = 0;
   for (const JsonValue& bp : points->array) {
     if (scheduler_of(bp) != baseline) continue;
-    const auto num = [&](const char* key) {
-      const JsonValue* v = bp.find(key);
-      return v ? v->num_or(0.0) : 0.0;
-    };
-    const double levels = num("levels");
-    const double arity = num("arity");
-    const double rate = num("fault_rate");
+    const double levels = bp.num_at("levels");
+    const double arity = bp.num_at("arity");
+    const double rate = bp.num_at("fault_rate");
     const JsonValue* cp = nullptr;
     for (const JsonValue& candidate_point : points->array) {
       if (scheduler_of(candidate_point) != candidate) continue;
       const auto cnum = [&](const char* key) {
-        const JsonValue* v = candidate_point.find(key);
-        return v ? v->num_or(-1.0) : -1.0;
+        return candidate_point.num_at(key, -1.0);
       };
       if (cnum("levels") == levels && cnum("arity") == arity &&
           cnum("fault_rate") == rate) {

@@ -105,6 +105,7 @@
 #include "hw/timing_model.hpp"
 #include "obs/env.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/json.hpp"
 #include "obs/link_telemetry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
